@@ -29,8 +29,10 @@ from .criteria import (
     acceptance_kind_for,
     acceptance_score,
     acceptance_scores,
+    argmin_with_ties,
     loo_predict,
     reduction_score,
+    reduction_scores,
 )
 from .online import (
     Decision,

@@ -7,6 +7,10 @@ Each criterion has a paired acceptance criterion that filters candidates
 against the cached minimum score of the stored points before any partition
 sweep runs.
 
+:func:`reduction_score` refits one materialized partition, as the paper
+defines it, and is the reference for :func:`reduction_scores`, which the
+loops use: every partition from one factorization, O(N^3) per sweep.
+
 Two pairs of criteria are exact duals and always pick the same point:
 prior entropy with predictive entropy (through the block-determinant
 identity of the joint covariance), and marginal log likelihood with log
@@ -21,13 +25,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .gp import (
-    LOG_2PI,
     Dataset,
     Hyperparameters,
     NumericalError,
     PosteriorCache,
+    StaleCacheError,
+    _clamp_variance,
+    _lml_from_cache,
     fit_cache,
     gaussian_entropy,
     log_marginal_likelihood,
@@ -41,6 +48,9 @@ __all__ = [
     "acceptance_kind_for",
     "loo_predict",
     "reduction_score",
+    "reduction_scores",
+    "argmin_with_ties",
+    "tie_tolerance",
     "acceptance_score",
     "acceptance_scores",
 ]
@@ -191,6 +201,94 @@ def reduction_score(
         return _neg_log_density(err_sq, var + hyper.noise_variance)
 
     raise ValueError(f"unknown criterion {kind!r}")
+
+
+def _inverse_diagonal(chol: np.ndarray) -> np.ndarray:
+    """diag((L L^T)^-1) as the column sums of squares of L^-1; the triangular
+    inverse keeps low-noise kernels accurate where ``cho_solve(L, I)`` does not."""
+    inv = solve_triangular(chol, np.eye(chol.shape[0]), lower=True, check_finite=False)
+    return np.einsum("ij,ij->j", inv, inv)
+
+
+def reduction_scores(
+    kind: CriterionKind,
+    dataset: Dataset,
+    hyper: Hyperparameters,
+    candidate: tuple | None = None,
+    base_cache: PosteriorCache | None = None,
+    mean_reference: str = "model",
+) -> np.ndarray:
+    """The scores of all partitions, ``reduction_score`` of
+    ``PartitionView(dataset, i, candidate)`` for every row i, from one
+    factorization in O(N^3).
+
+    Replacing row i with the candidate leaves the set S minus row i, where S
+    is the dataset plus the candidate (or the dataset itself in deletion
+    mode, whose cache ``base_cache`` supplies when given).  With
+    d_i = [K_S^-1]_ii and alpha the weights of S, the leave-one-out
+    identities (Rasmussen & Williams 2006, 5.4.2) give row i's noisy
+    predictive variance 1/d_i, its residual alpha_i/d_i and
+    log|K_S-i| = log|K_S| + log d_i; the evidence of S without row i is the
+    evidence of S plus row i's negative log predictive density.  1/d_i
+    includes the factor's jitter, which the latent variance leaves out.
+    """
+    if mean_reference not in ("model", "target"):
+        raise ValueError(f"unknown mean_reference {mean_reference!r}")
+    if base_cache is not None and base_cache.dataset_version != dataset.version:
+        raise StaleCacheError("base_cache was fitted on a different dataset")
+    if candidate is None:
+        scored = dataset
+        cache = base_cache if base_cache is not None else fit_cache(dataset, hyper)
+    else:
+        scored = dataset.with_appended(candidate[0], float(candidate[1]))
+        cache = fit_cache(scored, hyper)
+    d = _inverse_diagonal(cache.chol)[: dataset.n]
+    noisy_var = 1.0 / d
+    residual = cache.alpha[: dataset.n] * noisy_var
+
+    if kind is CriterionKind.PRIOR_ENTROPY:
+        log_det = 2.0 * float(np.sum(np.log(np.diagonal(cache.chol))))
+        return -gaussian_entropy(scored.n - 1, log_det + np.log(d))
+    if kind is CriterionKind.MARGINAL_LOG_LIKELIHOOD:
+        return _lml_from_cache(cache, scored) + _neg_log_densities(residual**2, noisy_var)
+
+    latent_var = _clamp_variance(noisy_var - (hyper.noise_variance + cache.jitter))
+    if kind is CriterionKind.PREDICTIVE_ENTROPY:
+        if np.any(latent_var <= 0.0):
+            raise NumericalError("zero predictive variance in entropy score")
+        return gaussian_entropy(1, np.log(latent_var))
+    if kind is CriterionKind.LOG_PREDICTIVE_DENSITY:
+        return _neg_log_densities(residual**2, latent_var + hyper.noise_variance)
+    if kind is CriterionKind.MEAN_RELEVANCE:
+        if mean_reference == "target":
+            return residual**2
+        # The full model's mean at its own inputs is y - (noise + jitter) alpha,
+        # so the shift needs no difference of two near-equal means.
+        base = cache if candidate is None else base_cache or fit_cache(dataset, hyper)
+        return (residual - (hyper.noise_variance + base.jitter) * base.alpha) ** 2
+    raise ValueError(f"unknown criterion {kind!r}")
+
+
+def _neg_log_densities(err_sq: np.ndarray, total_var: np.ndarray) -> np.ndarray:
+    if np.any(total_var <= 0.0):
+        raise NumericalError("non-positive variance in log-density evaluation")
+    return 0.5 * np.log(2.0 * math.pi * total_var) + err_sq / (2.0 * total_var)
+
+
+# Scores closer to the minimum than this fraction of the largest absolute
+# score are tied up to roundoff (duplicate stored rows are the common case).
+TIE_RTOL = 1e-9
+
+
+def tie_tolerance(scores) -> float:
+    """Absolute score gap below which two partitions count as tied."""
+    return TIE_RTOL * float(np.max(np.abs(scores)))
+
+
+def argmin_with_ties(scores) -> int:
+    """Index of the lowest score, the smallest index among tied scores."""
+    scores = np.asarray(scores, dtype=float)
+    return int(np.argmax(scores <= scores.min() + tie_tolerance(scores)))
 
 
 def acceptance_score(

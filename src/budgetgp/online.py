@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -26,10 +29,10 @@ import numpy as np
 
 from .criteria import (
     CriterionKind,
-    PartitionView,
     acceptance_score,
     acceptance_scores,
-    reduction_score,
+    argmin_with_ties,
+    reduction_scores,
 )
 from .gp import (
     Dataset,
@@ -157,28 +160,35 @@ def accept_decision(model: OnlineGp, point: tuple) -> bool:
     return score > model.j_min
 
 
-def _removal_scores(model: OnlineGp, point: tuple) -> np.ndarray:
-    scores = np.empty(model.dataset.n)
-    for i in range(model.dataset.n):
-        partition = PartitionView(model.dataset, i, candidate=point)
-        scores[i] = reduction_score(
-            model.criterion, partition, model.hyper, base_cache=model.cache
-        )
-    return scores
-
-
 def select_removal(model: OnlineGp, point: tuple) -> int:
     """Index of the stored row to replace: argmin of the reduction scores
-    over all replace-one partitions, smallest index on ties."""
-    return int(np.argmin(_removal_scores(model, point)))
+    over all replace-one partitions, smallest index on ties (see
+    :func:`budgetgp.criteria.argmin_with_ties`)."""
+    return argmin_with_ties(reduction_scores(
+        model.criterion, model.dataset, model.hyper, point, base_cache=model.cache
+    ))
 
 
 def step(model: OnlineGp, point: tuple) -> tuple[OnlineGp, StepOutcome]:
     """Process one streamed point through the insertion, acceptance and
-    reduction gates.  Numerical failures abort the step: the point is
-    dropped, the model is left unchanged and the error is recorded on the
-    outcome."""
-    x, y = point
+    reduction gates.  A malformed point (wrong input dimension, non-finite
+    entries) and numerical failures abort the step: the point is dropped,
+    the model is left unchanged and the error is recorded on the outcome."""
+    try:
+        x, y = point
+        x = np.asarray(x, dtype=float).reshape(-1)
+        y = float(y)
+    except (TypeError, ValueError) as exc:
+        return model, StepOutcome(Decision.FAILED, error=f"malformed point: {exc}")
+    if x.size != model.hyper.dim:
+        return model, StepOutcome(
+            Decision.FAILED,
+            error=f"point has {x.size} features, model has {model.hyper.dim}",
+        )
+    # math.isfinite per feature: a fraction of a numpy reduction's overhead.
+    if not (math.isfinite(y) and all(map(math.isfinite, x.tolist()))):
+        return model, StepOutcome(Decision.FAILED, error="point has non-finite entries")
+    point = (x, y)
     try:
         if not insert_decision(model, point):
             return model, StepOutcome(Decision.REJECTED_INSERTION)
@@ -187,8 +197,10 @@ def step(model: OnlineGp, point: tuple) -> tuple[OnlineGp, StepOutcome]:
             return model, StepOutcome(Decision.APPENDED)
         if not accept_decision(model, point):
             return model, StepOutcome(Decision.REJECTED_ACCEPTANCE)
-        scores = _removal_scores(model, point)
-        r = int(np.argmin(scores))
+        scores = reduction_scores(
+            model.criterion, model.dataset, model.hyper, point, base_cache=model.cache
+        )
+        r = argmin_with_ties(scores)
         model._recache(model.dataset.with_row_replaced(r, x, y))
         return model, StepOutcome(Decision.REPLACED, replaced_index=r, scores=scores)
     except (FactorizationError, NumericalError) as exc:
@@ -280,8 +292,18 @@ def model_from_snapshot(payload: dict) -> OnlineGp:
 def save_snapshot(model: OnlineGp, path) -> None:
     """Persist the online model (dataset, hyperparameters, thresholds,
     criterion, budget) as a versioned JSON record; the cache is refit on
-    load."""
-    Path(path).write_text(json.dumps(snapshot_dict(model), indent=2))
+    load.  The record is written to a temporary file beside ``path`` and
+    moved over it, so an interrupted save leaves any previous snapshot
+    intact."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(snapshot_dict(model), fh, indent=2)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_snapshot(path) -> OnlineGp:

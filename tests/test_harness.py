@@ -224,6 +224,16 @@ class TestReduceSweep:
         records = cmd_reduce_sweep(config)
         assert [r.size for r in records] == [12, 11, 10, 9]
 
+    @pytest.mark.parametrize("mr_reference", ["model", "target"])
+    def test_sweep_agrees_with_per_partition_reference(self, mr_reference):
+        # --verify rescores every size up to 12 on the per-partition path,
+        # independent of the one-factorization sweep that chose the row.
+        kinds = tuple(k.value for k in CriterionKind)
+        config = tiny_config(criteria=kinds, reduce_min_size=1, verify=True,
+                             mr_reference=mr_reference)
+        records = cmd_reduce_sweep(config)
+        assert len(records) == 12 * len(kinds)
+
 
 class TestAcceptEval:
     def test_bookkeeping(self):

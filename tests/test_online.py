@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from budgetgp.criteria import CriterionKind, acceptance_kind_for, AcceptanceKind
 from budgetgp.gp import Dataset, Hyperparameters, fit_cache, predict
@@ -185,6 +188,19 @@ class TestSelectRemoval:
         assert r == 0
 
     @pytest.mark.parametrize(
+        "kind", [k for k in CriterionKind if k is not CriterionKind.MEAN_RELEVANCE]
+    )
+    def test_duplicate_pair_prefers_smaller_index(self, kind):
+        # The other criteria on the data of the mean-relevance test above.
+        # Swapping either copy of the duplicate leaves the same set, so the
+        # two scores tie in exact arithmetic and up to roundoff here.
+        X = np.array([[0.4, 0.4], [0.4, 0.4], [-1.2, 0.3], [0.8, -1.1]])
+        y = np.array([0.9, 0.9, -0.2, 0.5])
+        h = Hyperparameters(1.0, [1.0, 1.0], 1e-8)
+        model = OnlineGp(dataset=Dataset(X, y), hyper=h, budget=4, criterion=kind)
+        assert select_removal(model, (np.array([30.0, 30.0]), 0.0)) == 0
+
+    @pytest.mark.parametrize(
         "kind",
         [CriterionKind.PRIOR_ENTROPY, CriterionKind.MEAN_RELEVANCE,
          CriterionKind.MARGINAL_LOG_LIKELIHOOD],
@@ -261,6 +277,15 @@ class TestStep:
         assert "pivot" in outcome.error
         assert model.dataset is ds
 
+    def test_malformed_point_in_stream_is_skipped(self, rng):
+        model = make_model(rng, n=4, budget=5)
+        stream = [(np.zeros(2), float("nan")), (np.zeros(3), 0.0), (np.ones(2), 0.5)]
+        model, outcomes, summary = run_stream(model, stream)
+        assert [o.decision for o in outcomes] == [
+            Decision.FAILED, Decision.FAILED, Decision.APPENDED
+        ]
+        assert summary.revised == 1 and model.dataset.n == 5
+
     def test_cache_coherent_after_steps(self, rng):
         model = make_model(rng, n=6, budget=7)
         for point in random_stream(rng, 2, 5):
@@ -271,6 +296,47 @@ class TestStep:
             m2, v2 = predict(fresh, model.dataset, model.hyper, Xs)
             npt.assert_allclose(m1, m2, rtol=1e-8)
             npt.assert_allclose(v1, v2, rtol=1e-8, atol=1e-12)
+
+
+BAD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def malformed_points(draw, p=2):
+    """A point with a non-finite target, a non-finite input entry, or an
+    input of the wrong dimension (possibly several at once)."""
+    flaw = draw(st.sampled_from(["y", "x", "dim"]))
+    finite = st.floats(-3.0, 3.0)
+    dim = draw(st.sampled_from([1, 3, 4])) if flaw == "dim" else p
+    x = np.array(draw(st.lists(finite, min_size=dim, max_size=dim)))
+    y = draw(BAD_VALUES) if flaw == "y" else draw(finite)
+    if flaw == "x":
+        x[draw(st.integers(0, dim - 1))] = draw(BAD_VALUES)
+    return x, y
+
+
+class TestMalformedPoints:
+    @given(point=malformed_points(), at_budget=st.booleans(),
+           use_acceptance=st.booleans(), gate=st.booleans(),
+           kind=st.sampled_from(list(CriterionKind)))
+    def test_failed_and_model_unchanged(self, point, at_budget, use_acceptance,
+                                        gate, kind):
+        d, h = random_instance(np.random.default_rng(7), 6, 2)
+        model = OnlineGp(
+            dataset=d, hyper=h, budget=6 if at_budget else 8, criterion=kind,
+            use_acceptance=use_acceptance, err_threshold=0.1 if gate else None,
+        )
+        dataset, cache, acc = model.dataset, model.cache, model.acc_scores
+        model, outcome = step(model, point)
+        assert outcome.decision is Decision.FAILED
+        assert outcome.error
+        assert model.dataset is dataset and model.cache is cache
+        assert model.acc_scores is acc
+
+    def test_unconvertible_target(self, rng):
+        model = make_model(rng)
+        model, outcome = step(model, (np.zeros(2), "abc"))
+        assert outcome.decision is Decision.FAILED and "malformed" in outcome.error
 
 
 class TestRunStream:
@@ -369,6 +435,23 @@ class TestSnapshot:
         assert back.use_acceptance == model.use_acceptance
         npt.assert_allclose(back.hyper.lengthscales, model.hyper.lengthscales)
         npt.assert_allclose(back.j_min, model.j_min)
+
+    def test_failed_write_keeps_previous_snapshot(self, rng, tmp_path, monkeypatch):
+        model = make_model(rng, n=5, budget=9)
+        path = tmp_path / "model.json"
+        save_snapshot(model, path)
+        before = path.read_bytes()
+
+        def partial_dump(obj, fh, **kwargs):
+            fh.write('{"format_version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", partial_dump)
+        model.budget = 11
+        with pytest.raises(OSError, match="disk full"):
+            save_snapshot(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
