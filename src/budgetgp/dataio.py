@@ -270,20 +270,17 @@ def _parse(name: str, text: str):
     return text
 
 
-def write_results(records, path, fmt: str | None = None) -> None:
-    """Write records as CSV (default) or JSON with a deterministic column
-    order; floats use shortest round-trip repr so files are byte-stable."""
+def write_results(records, path) -> None:
+    """Write records as JSON when ``path`` ends in ``.json``, as CSV
+    otherwise, with a deterministic column order; floats use shortest
+    round-trip repr so files are byte-stable."""
     path = Path(path)
-    fmt = fmt or ("json" if path.suffix.lower() == ".json" else "csv")
-    records = list(records)
-    if fmt == "json":
+    if path.suffix.lower() == ".json":
         payload = [
             {name: getattr(r, name) for name in _FIELDS} for r in records
         ]
         path.write_text(json.dumps(payload, indent=2) + "\n")
         return
-    if fmt != "csv":
-        raise ValueError(f"unknown results format {fmt!r}")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_FIELDS)

@@ -3,9 +3,11 @@
 The model is ``y = f(x) + eps`` with ``eps ~ N(0, noise_variance)`` and a
 zero-mean GP prior on ``f``.  Everything needed for prediction is cached in
 a single lower Cholesky factor of the noisy kernel matrix together with the
-weight vector ``alpha = (K + noise*I)^-1 y``; all other operations
-(marginal likelihood, analytic gradients, hyperparameter training) reuse
-the same factorization path.
+weight vector ``alpha = (K + noise*I)^-1 y``.  The marginal likelihood
+reuses that factorization path.  Hyperparameter training does not: its
+objective (value and analytic gradient) factors the matrix on its own with
+the initial jitter only, and a trial point that fails to factorize is
+penalized rather than retried with more jitter.
 """
 
 from __future__ import annotations
@@ -389,8 +391,7 @@ def optimize_hyperparameters(
     bounds=None,
     restarts: int = 0,
     rng: np.random.Generator | None = None,
-    return_history: bool = False,
-):
+) -> Hyperparameters:
     """Maximize the log marginal likelihood over log-space hyperparameters.
 
     Runs L-BFGS-B from ``init`` (plus ``restarts`` perturbed starts drawn
@@ -398,13 +399,13 @@ def optimize_hyperparameters(
     than ``init``.  Returns ``init`` unchanged when its gradient norm is
     already below ``tol``.  ``bounds`` are (low, high) pairs in log space.
     Raises :class:`OptimizationError` if the objective turns non-finite,
-    reporting the best iterate found up to that point.
+    reporting the best iterate found up to that point.  The objective is
+    evaluated once at ``init`` and once per point L-BFGS-B asks for.
     """
     theta0 = init.to_log_vector()
     lml0, g0 = _lml_and_gradient(dataset, init)
-    history = [lml0]
     if np.max(np.abs(g0)) < tol:
-        return (init, history) if return_history else init
+        return init
 
     best = {"lml": lml0, "theta": theta0.copy()}
 
@@ -424,11 +425,6 @@ def optimize_hyperparameters(
             best["theta"] = np.array(theta, copy=True)
         return -lml, -grad
 
-    def track(theta):
-        value, _ = objective(theta)
-        if value < _SEARCH_PENALTY:
-            history.append(-value)
-
     starts = [theta0]
     if restarts > 0:
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -441,12 +437,10 @@ def optimize_hyperparameters(
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            callback=track,
             options={"maxiter": max_iters, "gtol": tol},
         )
 
-    result = Hyperparameters.from_log_vector(best["theta"])
-    return (result, history) if return_history else result
+    return Hyperparameters.from_log_vector(best["theta"])
 
 
 def gaussian_entropy(dim: int, log_det_cov: float) -> float:

@@ -15,7 +15,7 @@ import dataclasses
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -214,10 +214,6 @@ class BenchmarkData:
         return Dataset(X, y)
 
 
-def _as_stream(d: Dataset) -> list:
-    return [(d.inputs[i], float(d.targets[i])) for i in range(d.n)]
-
-
 def _lag_feature_names(benchmark: str) -> tuple:
     lags = LAG_PRESETS[benchmark]
     names = [f"y_lag{j}" for j in range(1, lags.n_y + 1)]
@@ -226,36 +222,37 @@ def _lag_feature_names(benchmark: str) -> tuple:
     return tuple(names)
 
 
-def _system_train_val(benchmark: str, seed: int):
-    if benchmark == "van-der-pol":
-        return van_der_pol_dataset(seed), van_der_pol_dataset(seed + _EVAL_SEED_OFFSET)
-    if benchmark == "bouc-wen":
-        return bouc_wen_dataset(seed), bouc_wen_dataset(seed + _EVAL_SEED_OFFSET)
-    if benchmark == "tanks":
-        return tanks_dataset(seed), tanks_dataset(seed + _EVAL_SEED_OFFSET)
-    if benchmark == "building":
-        return building_dataset(seed)
-    raise ConfigError(f"benchmark: unknown system {benchmark!r}")
+# Systems validated on a second simulation at an offset seed; building's
+# generator splits one simulated year into training and validation halves.
+_SYSTEM_DATASETS = {
+    "van-der-pol": van_der_pol_dataset,
+    "bouc-wen": bouc_wen_dataset,
+    "tanks": tanks_dataset,
+}
 
 
-def _normalized_split(train: Dataset, val: Dataset, names, config) -> BenchmarkData:
-    """First-rows training split with z-scoring fitted on the initial slice
-    only, so no statistics leak in from streamed or validation data."""
+def _split(train: Dataset, val: Dataset, names, config, normalize: bool) -> BenchmarkData:
+    """The first ``initial_train`` rows start the model and the rest, cut to
+    ``stream_size``, are streamed.  With ``normalize`` the z-scoring is
+    fitted on the initial slice only, so no statistics leak in from
+    streamed or validation data."""
     initial_rows = min(config.initial_train, train.n)
-    head = TabularDataset(names, train.inputs[:initial_rows], "y",
-                          train.targets[:initial_rows], {"path": "initial"})
-    stats = normalize_fit(head)
+    if normalize:
+        head = TabularDataset(names, train.inputs[:initial_rows], "y",
+                              train.targets[:initial_rows], {"path": "initial"})
+        stats = normalize_fit(head)
 
-    def apply(d: Dataset) -> Dataset:
-        t = TabularDataset(names, d.inputs, "y", d.targets)
-        return normalize_apply(stats, t).to_dataset()
+        def apply(d: Dataset) -> Dataset:
+            t = TabularDataset(names, d.inputs, "y", d.targets)
+            return normalize_apply(stats, t).to_dataset()
 
-    train_n, val_n = apply(train), apply(val)
-    initial = train_n.subset(np.arange(initial_rows))
-    rest = train_n.subset(np.arange(initial_rows, train_n.n))
+        train, val = apply(train), apply(val)
+    initial = train.subset(np.arange(initial_rows))
+    rest = train.subset(np.arange(initial_rows, train.n))
     if config.stream_size is not None:
         rest = rest.subset(np.arange(min(config.stream_size, rest.n)))
-    return BenchmarkData(initial, _as_stream(rest), val_n, names)
+    stream = [(rest.inputs[i], float(rest.targets[i])) for i in range(rest.n)]
+    return BenchmarkData(initial, stream, val, names)
 
 
 def resolve_benchmark(config: ExperimentConfig, seed: int) -> BenchmarkData:
@@ -266,22 +263,18 @@ def resolve_benchmark(config: ExperimentConfig, seed: int) -> BenchmarkData:
             config.stream_size if config.stream_size is not None
             else DEFAULT_STREAM_SIZES[b]
         )
-        data = sample_uniform(b, config.initial_train + stream_size, seed)
-        initial = data.subset(np.arange(config.initial_train))
-        rest = data.subset(np.arange(config.initial_train, data.n))
-        eval_set = sample_uniform(b, config.eval_size, seed + _EVAL_SEED_OFFSET)
-        return BenchmarkData(initial, _as_stream(rest), eval_set, ("x1", "x2"))
+        train = sample_uniform(b, config.initial_train + stream_size, seed)
+        val = sample_uniform(b, config.eval_size, seed + _EVAL_SEED_OFFSET)
+        return _split(train, val, ("x1", "x2"), config, normalize=False)
 
-    if b in SYSTEM_BENCHMARKS:
-        train, val = _system_train_val(b, seed)
-        names = _lag_feature_names(b)
-        if b == "building":
-            return _normalized_split(train, val, names, config)
-        initial = train.subset(np.arange(config.initial_train))
-        rest = train.subset(np.arange(config.initial_train, train.n))
-        if config.stream_size is not None:
-            rest = rest.subset(np.arange(min(config.stream_size, rest.n)))
-        return BenchmarkData(initial, _as_stream(rest), val, names)
+    if b in _SYSTEM_DATASETS:
+        make = _SYSTEM_DATASETS[b]
+        return _split(make(seed), make(seed + _EVAL_SEED_OFFSET),
+                      _lag_feature_names(b), config, normalize=False)
+
+    if b == "building":
+        train, val = building_dataset(seed)
+        return _split(train, val, _lag_feature_names(b), config, normalize=True)
 
     if b == "csv":
         table = load_csv_dataset(config.data_file, config.target_column)
@@ -289,7 +282,7 @@ def resolve_benchmark(config: ExperimentConfig, seed: int) -> BenchmarkData:
         eval_n = min(config.eval_size, max(2, n // 10))
         train = Dataset(table.rows[: n - eval_n], table.targets[: n - eval_n])
         val = Dataset(table.rows[n - eval_n:], table.targets[n - eval_n:])
-        return _normalized_split(train, val, table.feature_names, config)
+        return _split(train, val, table.feature_names, config, normalize=True)
 
     raise ConfigError(f"benchmark: unknown {b!r}")
 
@@ -365,12 +358,10 @@ def _hyper_for(config: ExperimentConfig, seed: int, data: BenchmarkData) -> Hype
 # --- output helpers --------------------------------------------------------------
 
 
-def _write_dataset_csv(path, dataset: Dataset, feature_names, target_name="y") -> None:
-    lines = [",".join(list(feature_names) + [target_name])]
-    for i in range(dataset.n):
-        cells = [repr(float(v)) for v in dataset.inputs[i]]
-        cells.append(repr(float(dataset.targets[i])))
-        lines.append(",".join(cells))
+def _write_float_csv(path, header, rows) -> None:
+    """A header line, then one line per row of shortest round-trip floats."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -409,8 +400,9 @@ def cmd_generate(config: ExperimentConfig) -> list:
         )
         train_path = stem.with_suffix(".csv")
         val_path = Path(f"{stem}_val.csv")
-        _write_dataset_csv(train_path, train, data.feature_names, data.target_name)
-        _write_dataset_csv(val_path, data.eval_set, data.feature_names, data.target_name)
+        header = [*data.feature_names, data.target_name]
+        for path, d in ((train_path, train), (val_path, data.eval_set)):
+            _write_float_csv(path, header, np.column_stack([d.inputs, d.targets]))
         extra = {
             "command": "generate",
             "seed": seed,
@@ -524,19 +516,31 @@ def cmd_reduce_sweep(config: ExperimentConfig) -> list:
     return _finish(records, config, "reduce-sweep")
 
 
-def _online_model(data: BenchmarkData, hyper, kind, config, accept: bool,
-                  var_threshold=None, err_threshold=None) -> OnlineGp:
+def _stream_runs(config, command, seed, data: BenchmarkData, hyper,
+                 var_threshold=None, err_threshold=None):
+    """Stream ``data`` through a fresh model for each criterion, without and
+    then with acceptance; yield each final model with its result record."""
     initial = data.initial
     if initial.n > config.budget:
         initial = initial.subset(np.arange(config.budget))
-    return OnlineGp(
-        dataset=initial, hyper=hyper, budget=config.budget, criterion=kind,
-        var_threshold=var_threshold, err_threshold=err_threshold,
-        use_acceptance=accept,
-    )
+    for kind in config.criterion_kinds():
+        for accept in (False, True):
+            model = OnlineGp(
+                dataset=initial, hyper=hyper, budget=config.budget, criterion=kind,
+                var_threshold=var_threshold, err_threshold=err_threshold,
+                use_acceptance=accept,
+            )
+            model, _, summary = run_stream(model, data.stream, data.eval_set)
+            yield model, ResultRecord(
+                benchmark=config.benchmark, command=command, criterion=kind.value,
+                seed=seed, budget=config.budget, var_threshold=var_threshold,
+                err_threshold=err_threshold, use_acceptance=accept,
+                size=model.dataset.n, smse=summary.final_smse,
+                mean_variance=summary.mean_variance, revised=summary.revised,
+            )
 
 
-def _selection_maps(config, data, model, kind, accept_tag):
+def _selection_maps(config, model: OnlineGp) -> None:
     """Prediction-error and standard-deviation grids plus the selected
     dataset coordinates, written as plot-ready CSVs."""
     bound = BENCHMARK_BOUNDS[config.benchmark]
@@ -546,19 +550,11 @@ def _selection_maps(config, data, model, kind, accept_tag):
     truth = eval_benchmark_function(config.benchmark, grid[:, 0], grid[:, 1])
     mu, var = predict(model.cache, model.dataset, model.hyper, grid)
     stem = Path(config.out).with_suffix("")
-    map_path = Path(f"{stem}_map_{kind.value}{accept_tag}.csv")
-    lines = ["x1,x2,abs_error,std"]
-    for row, err, sd in zip(grid, np.abs(truth - mu), np.sqrt(var)):
-        lines.append(",".join(repr(float(v)) for v in (row[0], row[1], err, sd)))
-    map_path.write_text("\n".join(lines) + "\n")
-    points_path = Path(f"{stem}_points_{kind.value}{accept_tag}.csv")
-    lines = ["x1,x2,y"]
-    for i in range(model.dataset.n):
-        x = model.dataset.inputs[i]
-        lines.append(
-            ",".join(repr(float(v)) for v in (x[0], x[1], model.dataset.targets[i]))
-        )
-    points_path.write_text("\n".join(lines) + "\n")
+    tag = f"{model.criterion.value}_{'accept' if model.use_acceptance else 'normal'}"
+    _write_float_csv(f"{stem}_map_{tag}.csv", ["x1", "x2", "abs_error", "std"],
+                     np.column_stack([grid, np.abs(truth - mu), np.sqrt(var)]))
+    _write_float_csv(f"{stem}_points_{tag}.csv", ["x1", "x2", "y"],
+                     np.column_stack([model.dataset.inputs, model.dataset.targets]))
 
 
 def cmd_accept_eval(config: ExperimentConfig) -> list:
@@ -577,23 +573,11 @@ def cmd_accept_eval(config: ExperimentConfig) -> list:
                 smse=_initial_smse(data, hyper),
             )
         )
-        for kind in config.criterion_kinds():
-            for accept in (False, True):
-                model = _online_model(data, hyper, kind, config, accept)
-                model, outcomes, summary = run_stream(model, data.stream, data.eval_set)
-                records.append(
-                    ResultRecord(
-                        benchmark=config.benchmark, command="accept-eval",
-                        criterion=kind.value, seed=seed, budget=config.budget,
-                        use_acceptance=accept, size=model.dataset.n,
-                        smse=summary.final_smse, mean_variance=summary.mean_variance,
-                        revised=summary.revised,
-                        accepted_fraction=summary.revised / max(summary.steps, 1),
-                    )
-                )
-                if config.maps and config.out and config.benchmark in BENCHMARK_BOUNDS:
-                    _selection_maps(config, data, model, kind,
-                                    "_accept" if accept else "_normal")
+        for model, record in _stream_runs(config, "accept-eval", seed, data, hyper):
+            record.accepted_fraction = record.revised / max(len(data.stream), 1)
+            records.append(record)
+            if config.maps and config.out and config.benchmark in BENCHMARK_BOUNDS:
+                _selection_maps(config, model)
     return _finish(records, config, "accept-eval")
 
 
@@ -610,25 +594,10 @@ def cmd_online_eval(config: ExperimentConfig) -> list:
     for seed in config.seeds:
         data = resolve_benchmark(config, seed)
         hyper = _hyper_for(config, seed, data)
-        for kind in config.criterion_kinds():
-            for accept in (False, True):
-                model = _online_model(
-                    data, hyper, kind, config, accept,
-                    var_threshold=config.var_threshold,
-                    err_threshold=config.err_threshold,
-                )
-                model, _, summary = run_stream(model, data.stream, data.eval_set)
-                records.append(
-                    ResultRecord(
-                        benchmark=config.benchmark, command="online-eval",
-                        criterion=kind.value, seed=seed, budget=config.budget,
-                        var_threshold=config.var_threshold,
-                        err_threshold=config.err_threshold,
-                        use_acceptance=accept, size=model.dataset.n,
-                        smse=summary.final_smse, mean_variance=summary.mean_variance,
-                        revised=summary.revised,
-                    )
-                )
+        records += [record for _, record in _stream_runs(
+            config, "online-eval", seed, data, hyper,
+            var_threshold=config.var_threshold, err_threshold=config.err_threshold,
+        )]
     return _finish(records, config, "online-eval")
 
 
@@ -664,22 +633,9 @@ def cmd_threshold_sweep(config: ExperimentConfig) -> list:
         hyper = _hyper_for(config, seed, data)
         records.append(_baseline_record(config, data, hyper, seed))
         for threshold in grid:
-            for kind in config.criterion_kinds():
-                for accept in (False, True):
-                    model = _online_model(
-                        data, hyper, kind, config, accept, err_threshold=threshold
-                    )
-                    model, _, summary = run_stream(model, data.stream, data.eval_set)
-                    records.append(
-                        ResultRecord(
-                            benchmark=config.benchmark, command="threshold-sweep",
-                            criterion=kind.value, seed=seed, budget=config.budget,
-                            err_threshold=threshold, use_acceptance=accept,
-                            size=model.dataset.n, smse=summary.final_smse,
-                            mean_variance=summary.mean_variance,
-                            revised=summary.revised,
-                        )
-                    )
+            records += [record for _, record in _stream_runs(
+                config, "threshold-sweep", seed, data, hyper, err_threshold=threshold,
+            )]
     return _finish(records, config, "threshold-sweep")
 
 

@@ -34,6 +34,7 @@ from .criteria import (
     argmin_with_ties,
     reduction_scores,
 )
+from .dataio import smse
 from .gp import (
     Dataset,
     FactorizationError,
@@ -79,7 +80,6 @@ class StepOutcome:
     decision: Decision
     replaced_index: int | None = None
     scores: np.ndarray | None = None
-    smse_running: float | None = None
     error: str | None = None
 
     @property
@@ -130,26 +130,52 @@ class OnlineGp:
         self.j_min = float(np.min(scores)) if scores is not None else None
 
 
+class _Point(tuple):
+    """An ``(x, y)`` pair that passed :func:`_checked_point`."""
+
+
+def _checked_point(model: OnlineGp, point) -> _Point:
+    """``point`` as a flat float input and a float target; raises
+    ``ValueError`` when it cannot be unpacked or converted, has the wrong
+    input dimension or a non-finite entry.  A point this function already
+    returned passes through unchecked."""
+    if type(point) is _Point:
+        return point
+    try:
+        x, y = point
+        x = np.asarray(x, dtype=float).reshape(-1)
+        y = float(y)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed point: {exc}") from None
+    if x.size != model.hyper.dim:
+        raise ValueError(f"point has {x.size} features, model has {model.hyper.dim}")
+    # math.isfinite per feature: a fraction of a numpy reduction's overhead.
+    if not (math.isfinite(y) and all(map(math.isfinite, x.tolist()))):
+        raise ValueError("point has non-finite entries")
+    return _Point((x, y))
+
+
 def insert_decision(model: OnlineGp, point: tuple) -> bool:
     """Insertion gate: variance strictly above the variance threshold, or
     absolute prediction error at or above the error threshold.  Always true
-    with both thresholds disabled."""
+    with both thresholds disabled.  Raises ``ValueError`` for a malformed
+    point (see :func:`step`)."""
+    x, y = _checked_point(model, point)
     if model.var_threshold is None and model.err_threshold is None:
         return True
-    x, y = point
-    mu, var = predict(
-        model.cache, model.dataset, model.hyper, np.asarray(x, float).reshape(1, -1)
-    )
+    mu, var = predict(model.cache, model.dataset, model.hyper, x.reshape(1, -1))
     if model.var_threshold is not None and float(var[0]) > model.var_threshold:
         return True
-    if model.err_threshold is not None and abs(float(y) - float(mu[0])) >= model.err_threshold:
+    if model.err_threshold is not None and abs(y - float(mu[0])) >= model.err_threshold:
         return True
     return False
 
 
 def accept_decision(model: OnlineGp, point: tuple) -> bool:
     """Acceptance gate at budget: the candidate's acceptance score must
-    strictly exceed the cached minimum over the stored rows."""
+    strictly exceed the cached minimum over the stored rows.  Raises
+    ``ValueError`` for a malformed point (see :func:`step`)."""
+    point = _checked_point(model, point)
     if not model.use_acceptance:
         return True
     if model.j_min is None:
@@ -175,20 +201,10 @@ def step(model: OnlineGp, point: tuple) -> tuple[OnlineGp, StepOutcome]:
     entries) and numerical failures abort the step: the point is dropped,
     the model is left unchanged and the error is recorded on the outcome."""
     try:
-        x, y = point
-        x = np.asarray(x, dtype=float).reshape(-1)
-        y = float(y)
-    except (TypeError, ValueError) as exc:
-        return model, StepOutcome(Decision.FAILED, error=f"malformed point: {exc}")
-    if x.size != model.hyper.dim:
-        return model, StepOutcome(
-            Decision.FAILED,
-            error=f"point has {x.size} features, model has {model.hyper.dim}",
-        )
-    # math.isfinite per feature: a fraction of a numpy reduction's overhead.
-    if not (math.isfinite(y) and all(map(math.isfinite, x.tolist()))):
-        return model, StepOutcome(Decision.FAILED, error="point has non-finite entries")
-    point = (x, y)
+        point = _checked_point(model, point)
+    except ValueError as exc:
+        return model, StepOutcome(Decision.FAILED, error=str(exc))
+    x, y = point
     try:
         if not insert_decision(model, point):
             return model, StepOutcome(Decision.REJECTED_INSERTION)
@@ -219,35 +235,27 @@ class RunSummary:
     mean_variance: float | None = None
 
 
-def _eval_metrics(model: OnlineGp, eval_set: Dataset):
-    from .dataio import smse
-
-    mu, var = predict(model.cache, model.dataset, model.hyper, eval_set.inputs)
-    return smse(mu, eval_set.targets), float(np.mean(var))
-
-
 def run_stream(
     model: OnlineGp,
     stream,
     eval_set: Dataset | None = None,
-    track_smse: bool = False,
 ) -> tuple[OnlineGp, list[StepOutcome], RunSummary]:
     """Apply :func:`step` to every point of the stream in order.
 
-    ``stream`` yields ``(x, y)`` pairs.  With ``track_smse`` each outcome
-    additionally records the running SMSE on ``eval_set``.
+    ``stream`` yields ``(x, y)`` pairs.  With ``eval_set`` the summary
+    carries the final SMSE and mean latent variance on it.
     """
     outcomes: list[StepOutcome] = []
     for point in stream:
         model, outcome = step(model, point)
-        if track_smse and eval_set is not None:
-            outcome.smse_running = _eval_metrics(model, eval_set)[0]
         outcomes.append(outcome)
     summary = RunSummary(
         revised=sum(1 for o in outcomes if o.revised), steps=len(outcomes)
     )
     if eval_set is not None:
-        summary.final_smse, summary.mean_variance = _eval_metrics(model, eval_set)
+        mu, var = predict(model.cache, model.dataset, model.hyper, eval_set.inputs)
+        summary.final_smse = smse(mu, eval_set.targets)
+        summary.mean_variance = float(np.mean(var))
     return model, outcomes, summary
 
 

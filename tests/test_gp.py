@@ -305,13 +305,31 @@ class TestOptimizeHyperparameters:
                 hits += 1
         assert hits >= 8
 
-    def test_history_is_monotone(self, rng):
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_objective_evaluated_once_per_point(self, rng, monkeypatch, restarts):
+        # One evaluation at init for the gradient check, then exactly the
+        # points L-BFGS-B asks for: no iterate is scored a second time.
+        from budgetgp import gp as gp_mod
+
+        calls, nfev = [0], []
+        lml_and_gradient, minimize = gp_mod._lml_and_gradient, gp_mod.minimize
+
+        def counted(*args):
+            calls[0] += 1
+            return lml_and_gradient(*args)
+
+        def recorded(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            nfev.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(gp_mod, "_lml_and_gradient", counted)
+        monkeypatch.setattr(gp_mod, "minimize", recorded)
         d, h = random_instance(rng, 15, 2)
-        _, history = optimize_hyperparameters(
-            d, h, max_iters=100, tol=1e-6, return_history=True
-        )
-        diffs = np.diff(history)
-        assert np.all(diffs >= -1e-9)
+        optimize_hyperparameters(d, h, max_iters=50, tol=1e-6, restarts=restarts,
+                                 rng=np.random.default_rng(0))
+        assert len(nfev) == restarts + 1
+        assert calls[0] == 1 + sum(nfev)
 
     def test_non_finite_reports_last_valid(self):
         d = Dataset(np.array([[0.0], [1.0]]), np.array([1e200, -1e200]))

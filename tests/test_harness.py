@@ -288,6 +288,25 @@ class TestOnlineEval:
         assert len(keys) == len(records) == 8
 
 
+class TestStreamCommandsAgree:
+    def test_online_eval_matches_threshold_sweep_cell(self):
+        # online-eval with one error threshold and threshold-sweep over a
+        # one-point grid stream the same models.
+        t = 5.0
+        criteria = ("prior-entropy", "mean-relevance", "mll", "lpd")
+        online = cmd_online_eval(tiny_config(criteria=criteria, err_threshold=t))
+        sweep = cmd_threshold_sweep(tiny_config(criteria=criteria, thresholds_grid=(t,)))
+
+        def cells(records):
+            return {
+                (r.criterion, r.use_acceptance): (r.size, r.smse, r.mean_variance, r.revised)
+                for r in records if r.criterion != "baseline"
+            }
+
+        assert len(cells(online)) == 2 * len(criteria)
+        assert cells(online) == cells(sweep)
+
+
 class TestThresholdSweep:
     def test_grid_enumeration_and_baseline(self):
         config = tiny_config(

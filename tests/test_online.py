@@ -327,6 +327,9 @@ class TestMalformedPoints:
             use_acceptance=use_acceptance, err_threshold=0.1 if gate else None,
         )
         dataset, cache, acc = model.dataset, model.cache, model.acc_scores
+        for decide in (insert_decision, accept_decision):
+            with pytest.raises(ValueError):
+                decide(model, point)
         model, outcome = step(model, point)
         assert outcome.decision is Decision.FAILED
         assert outcome.error
@@ -335,6 +338,9 @@ class TestMalformedPoints:
 
     def test_unconvertible_target(self, rng):
         model = make_model(rng)
+        for decide in (insert_decision, accept_decision):
+            with pytest.raises(ValueError, match="malformed"):
+                decide(model, (np.zeros(2), "abc"))
         model, outcome = step(model, (np.zeros(2), "abc"))
         assert outcome.decision is Decision.FAILED and "malformed" in outcome.error
 
