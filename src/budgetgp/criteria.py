@@ -286,8 +286,11 @@ def tie_tolerance(scores) -> float:
 
 
 def argmin_with_ties(scores) -> int:
-    """Index of the lowest score, the smallest index among tied scores."""
+    """Index of the lowest score, the smallest index among tied scores.
+    Raises :class:`NumericalError` if any score is not finite."""
     scores = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError("non-finite score in the argmin")
     return int(np.argmax(scores <= scores.min() + tie_tolerance(scores)))
 
 
@@ -298,13 +301,10 @@ def acceptance_score(
     hyper: Hyperparameters,
     point: tuple,
 ) -> float:
-    """Acceptance score of one point against the current full model.
-
-    Stored rows and candidates are scored identically (stored rows are left
-    in the model).  Dispatch follows the reduction criterion's pairing:
+    """Acceptance score of one point against the current full model: its
     latent variance, squared prediction error, or negative Gaussian log
-    density of the target under the noisy prediction.
-    """
+    density of the target under the noisy prediction, following the
+    reduction criterion's pairing."""
     x, y = point
     x = np.asarray(x, dtype=float).reshape(1, -1)
     mu, var = predict(cache, dataset, hyper, x)
@@ -324,18 +324,19 @@ def acceptance_scores(
     dataset: Dataset,
     hyper: Hyperparameters,
 ) -> np.ndarray:
-    """Acceptance scores of every stored row.
-
-    Rows go through the same single-point path as candidates so that a
-    candidate coinciding with a stored row reproduces its cached score bit
-    for bit; the strict comparison against the cached minimum then behaves
-    exactly at the boundary.
-    """
-    return np.array(
-        [
-            acceptance_score(
-                kind, cache, dataset, hyper, (dataset.inputs[i], float(dataset.targets[i]))
-            )
-            for i in range(dataset.n)
-        ]
-    )
+    """Acceptance scores of every stored row, in O(N) once d = diag(K^-1) of
+    the factored matrix is known.  With s^2 = noise + the factor's jitter,
+    row i's latent variance is s^2 (1 - s^2 d_i) and its residual
+    y_i - mu_i is s^2 alpha_i; the scores follow from these two as
+    :func:`acceptance_score` forms them."""
+    if cache.dataset_version != dataset.version:
+        raise StaleCacheError("cache was fitted on a different dataset")
+    s2 = hyper.noise_variance + cache.jitter
+    var = _clamp_variance(s2 * (1.0 - s2 * _inverse_diagonal(cache.chol)))
+    acc = acceptance_kind_for(kind)
+    if acc is AcceptanceKind.VARIANCE:
+        return var
+    err_sq = (s2 * cache.alpha) ** 2
+    if acc is AcceptanceKind.SQUARED_ERROR:
+        return err_sq
+    return _neg_log_densities(err_sq, var + hyper.noise_variance)

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import minimize
 
 __all__ = [
@@ -320,7 +320,10 @@ def predict(
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     Ks = kernel_matrix(Xstar, dataset.inputs, hyper)
     mean = Ks @ cache.alpha
-    V = solve_triangular(cache.chol, Ks.T, lower=True, check_finite=False)
+    # The routine solve_triangular calls for this F-ordered factor, minus its wrapper.
+    V, info = dtrtrs(cache.chol, Ks.T, lower=1)
+    if info != 0:
+        raise NumericalError(f"triangular solve failed (LAPACK info {info})")
     if full_cov:
         cov = kernel_matrix(Xstar, Xstar, hyper) - V.T @ V
         np.fill_diagonal(cov, _clamp_variance(np.diagonal(cov).copy()))

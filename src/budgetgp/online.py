@@ -173,14 +173,18 @@ def insert_decision(model: OnlineGp, point: tuple) -> bool:
 
 def accept_decision(model: OnlineGp, point: tuple) -> bool:
     """Acceptance gate at budget: the candidate's acceptance score must
-    strictly exceed the cached minimum over the stored rows.  Raises
-    ``ValueError`` for a malformed point (see :func:`step`)."""
+    strictly exceed the cached minimum over the stored rows.  A candidate
+    equal to stored rows in ``x`` and ``y`` takes the smallest of their
+    cached scores.  Raises ``ValueError`` for a malformed point (see
+    :func:`step`)."""
     point = _checked_point(model, point)
     if not model.use_acceptance:
         return True
     if model.j_min is None:
         raise RuntimeError("acceptance score cache missing; model not re-cached")
-    score = acceptance_score(
+    x, y = point
+    same = (model.dataset.targets == y) & (model.dataset.inputs == x).all(axis=1)
+    score = float(model.acc_scores[same].min()) if same.any() else acceptance_score(
         model.criterion, model.cache, model.dataset, model.hyper, point
     )
     return score > model.j_min

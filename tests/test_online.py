@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from budgetgp.criteria import CriterionKind, acceptance_kind_for, AcceptanceKind
+from budgetgp.criteria import (
+    AcceptanceKind,
+    CriterionKind,
+    acceptance_kind_for,
+    acceptance_score,
+)
 from budgetgp.gp import Dataset, Hyperparameters, fit_cache, predict
 from budgetgp.online import (
     Decision,
@@ -177,6 +182,57 @@ class TestAcceptDecision:
         assert accept_decision(model, (np.zeros(2), -50.0)) is True
 
 
+def count_fresh_scores(monkeypatch):
+    from budgetgp import online as online_mod
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return acceptance_score(*args, **kwargs)
+
+    monkeypatch.setattr(online_mod, "acceptance_score", counted)
+    return calls
+
+
+class TestEqualRowRule:
+    """A candidate equal to a stored row in x and y takes the row's cached
+    score; any other candidate is scored afresh."""
+
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_stored_row_takes_cached_score(self, kind, rng, monkeypatch):
+        model = make_model(rng, criterion=kind, use_acceptance=True)
+        calls = count_fresh_scores(monkeypatch)
+        for i in range(model.dataset.n):
+            point = (model.dataset.inputs[i], float(model.dataset.targets[i]))
+            assert accept_decision(model, point) is bool(model.acc_scores[i] > model.j_min)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_same_input_other_target_is_scored_fresh(self, kind, rng, monkeypatch):
+        model = make_model(rng, criterion=kind, use_acceptance=True)
+        calls = count_fresh_scores(monkeypatch)
+        for i in range(model.dataset.n):
+            point = (model.dataset.inputs[i], float(model.dataset.targets[i]) + 0.5)
+            want = acceptance_score(kind, model.cache, model.dataset, model.hyper, point)
+            assert accept_decision(model, point) is (want > model.j_min)
+        assert len(calls) == model.dataset.n
+
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_duplicated_row_copies_decide_alike(self, kind, rng):
+        d, h = random_instance(rng, 7, 2)
+        X = np.vstack([d.inputs, d.inputs[2]])
+        y = np.append(d.targets, d.targets[2])
+        model = OnlineGp(dataset=Dataset(X, y), hyper=h, budget=8, criterion=kind,
+                         use_acceptance=True)
+        want = bool(min(model.acc_scores[2], model.acc_scores[7]) > model.j_min)
+        for i in (2, 7):
+            assert accept_decision(model, (X[i], float(y[i]))) is want
+        if acceptance_kind_for(kind) is AcceptanceKind.VARIANCE:
+            # Two observations of one input leave it the least uncertain row.
+            assert want is False
+
+
 class TestSelectRemoval:
     def test_duplicate_pair_mean_relevance_prefers_smaller_index(self):
         X = np.array([[0.4, 0.4], [0.4, 0.4], [-1.2, 0.3], [0.8, -1.1]])
@@ -276,6 +332,22 @@ class TestStep:
         assert outcome.decision is Decision.FAILED
         assert "pivot" in outcome.error
         assert model.dataset is ds
+
+    def test_non_finite_sweep_score_fails_step(self, rng, monkeypatch):
+        from budgetgp import online as online_mod
+
+        model = make_model(rng, budget=8, use_acceptance=True)
+        dataset, cache, acc = model.dataset, model.cache, model.acc_scores
+        nan_scores = np.zeros(model.dataset.n)
+        nan_scores[3] = np.nan
+        monkeypatch.setattr(online_mod, "reduction_scores", lambda *a, **k: nan_scores)
+        x = rng.uniform(-2, 2, size=2)
+        mu, _ = predict(model.cache, dataset, model.hyper, x[None, :])
+        model, outcome = step(model, (x, float(mu[0]) + 100.0))
+        assert outcome.decision is Decision.FAILED
+        assert "non-finite" in outcome.error
+        assert model.dataset is dataset and model.cache is cache
+        assert model.acc_scores is acc
 
     def test_malformed_point_in_stream_is_skipped(self, rng):
         model = make_model(rng, n=4, budget=5)

@@ -1,6 +1,7 @@
 """The one-factorization sweep ``reduction_scores`` against the per-partition
 reference ``reduction_score`` and, in the low-noise regime, against a
-50-digit ``mpmath`` oracle."""
+50-digit ``mpmath`` oracle; the closed-form stored-row acceptance scores
+``acceptance_scores`` against the same oracle."""
 
 import numpy as np
 import numpy.testing as npt
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 from budgetgp.criteria import (
     CriterionKind,
     PartitionView,
+    acceptance_scores,
     argmin_with_ties,
     reduction_score,
     reduction_scores,
     tie_tolerance,
 )
-from budgetgp.gp import Dataset, Hyperparameters, StaleCacheError, fit_cache
+from budgetgp.gp import (Dataset, Hyperparameters, NumericalError, StaleCacheError,
+                         fit_cache)
 from conftest import random_instance
 
 mpmath = pytest.importorskip("mpmath")
@@ -96,6 +99,38 @@ def mp_scores(kind, X, y, hyper, candidate, mean_reference="model"):
         return np.array([float(v) for v in out])
 
 
+def mp_acceptance_scores(kind, X, y, hyper, jitter):
+    """Each stored row's acceptance score under the full model at 50
+    significant digits, with ``jitter`` on the diagonal of the noisy kernel."""
+    mp = mpmath.mp
+    with mpmath.workdps(50):
+        sf = mp.mpf(hyper.signal_variance)
+        ls = [mp.mpf(v) for v in hyper.lengthscales]
+        rows = [[mp.mpf(v) for v in row] for row in X]
+        n = len(rows)
+        K = mp.matrix(n)
+        for i in range(n):
+            for j in range(n):
+                K[i, j] = sf * mp.exp(-sum((a - b) ** 2 / l ** 2
+                                           for a, b, l in zip(rows[i], rows[j], ls)) / 2)
+        C = K + (mp.mpf(hyper.noise_variance) + mp.mpf(jitter)) * mp.eye(n)
+        ys = mp.matrix([mp.mpf(v) for v in y])
+        alpha = mp.lu_solve(C, ys)
+        out = []
+        for i in range(n):
+            k = K.column(i)
+            var = sf - (k.T * mp.lu_solve(C, k))[0]
+            err_sq = (ys[i] - (k.T * alpha)[0]) ** 2
+            if kind in (CriterionKind.PRIOR_ENTROPY, CriterionKind.PREDICTIVE_ENTROPY):
+                out.append(var)
+            elif kind is CriterionKind.MEAN_RELEVANCE:
+                out.append(err_sq)
+            else:
+                s = var + hyper.noise_variance
+                out.append(mp.log(2 * mp.pi * s) / 2 + err_sq / (2 * s))
+        return np.array([float(v) for v in out])
+
+
 # --- properties ----------------------------------------------------------------
 
 
@@ -163,6 +198,41 @@ class TestLowNoiseAgainstMpmath:
                     assert argmin_with_ties(got) == int(np.argmin(want)), kind.value
 
 
+class TestAcceptanceScoresAgainstMpmath:
+    """The closed form s^2 (1 - s^2 d_i) and s^2 alpha_i at noise 1e-7 to
+    1e-5 on clustered inputs, the regime where it cancels most."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7),
+           log_noise=st.floats(-7.0, -5.0), spread=st.sampled_from([0.05, 0.3, 2.0]))
+    def test_values_and_argmin(self, seed, n, log_noise, spread):
+        rng = np.random.default_rng(seed)
+        h = Hyperparameters(rng.uniform(0.5, 3.0), rng.uniform(0.4, 2.0, size=2),
+                            10.0**log_noise)
+        X = rng.uniform(-spread, spread, size=(n, 2))
+        y = np.sin(X @ rng.normal(size=2)) + 0.3 * rng.normal(size=n)
+        d = Dataset(X, y)
+        cache = fit_cache(d, h)
+        for kind in ALL_KINDS:
+            want = mp_acceptance_scores(kind, X, y, h, cache.jitter)
+            got = acceptance_scores(kind, cache, d, h)
+            scale = float(np.max(np.abs(want)))
+            npt.assert_allclose(got, want, rtol=0, atol=1e-6 * scale, err_msg=kind.value)
+            first, second = np.sort(want)[:2]
+            if second - first > 1e-6 * scale:
+                assert argmin_with_ties(got) == int(np.argmin(want)), kind.value
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_jitter_is_part_of_s2(self, kind, rng, monkeypatch):
+        # With a jitter as large as the noise, s^2 without it is far off.
+        monkeypatch.setattr("budgetgp.gp.JITTER_INITIAL", 1e-2)
+        monkeypatch.setattr("budgetgp.gp.JITTER_MAX", 1e-1)
+        d, h = random_instance(rng, 8, 2)
+        cache = fit_cache(d, h)
+        assert cache.jitter == pytest.approx(1e-2 * h.signal_variance)
+        want = mp_acceptance_scores(kind, d.inputs, d.targets, h, cache.jitter)
+        npt.assert_allclose(acceptance_scores(kind, cache, d, h), want, rtol=1e-9)
+
+
 # --- tie rule --------------------------------------------------------------------
 
 
@@ -174,6 +244,12 @@ class TestTies:
     def test_real_gap_is_not_a_tie(self):
         scores = np.array([3.0, 1.0 + 1e-6, 1.0, 2.0])
         assert argmin_with_ties(scores) == 2
+
+    @pytest.mark.parametrize("scores", [[2.0, 1.0, np.inf], [np.nan, 1.0, 2.0],
+                                        [2.0, 1.0, -np.inf]])
+    def test_non_finite_score_raises(self, scores):
+        with pytest.raises(NumericalError, match="non-finite"):
+            argmin_with_ties(np.array(scores))
 
     def test_tolerance_scales_with_largest_score(self):
         assert tie_tolerance(np.array([-4.0, 2.0])) == pytest.approx(4.0 * 1e-9)
@@ -193,6 +269,12 @@ class TestArguments:
         with pytest.raises(StaleCacheError):
             reduction_scores(CriterionKind.MARGINAL_LOG_LIKELIHOOD, d, h,
                              base_cache=fit_cache(other, h))
+
+    def test_stale_cache_rejected_by_acceptance_scores(self, rng):
+        d, h = random_instance(rng, 5, 2)
+        other, _ = random_instance(rng, 5, 2)
+        with pytest.raises(StaleCacheError):
+            acceptance_scores(CriterionKind.MEAN_RELEVANCE, fit_cache(other, h), d, h)
 
     def test_candidate_dimension_checked(self, rng):
         d, h = random_instance(rng, 5, 2)
