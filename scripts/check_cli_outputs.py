@@ -10,10 +10,10 @@ paths) and diffing the two listings:
     python scripts/check_cli_outputs.py /tmp/cli_check > after.txt
     diff before.txt after.txt
 
-The set covers ``generate`` for a function and a system, ``train``,
-``reduce-sweep --verify`` to CSV and to JSON, ``accept-eval`` with and
-without ``--maps``, ``online-eval`` with each insertion gate, with and
-without ``--accept``, and ``threshold-sweep``.  Each command's stdout is
+The set covers ``generate`` for a function and for every simulated system,
+``train``, ``reduce-sweep --verify`` to CSV and to JSON, ``accept-eval``
+with and without ``--maps``, ``online-eval`` with each insertion gate, with
+and without ``--accept``, and ``threshold-sweep``.  Each command's stdout is
 kept as ``<name>.stdout``; each command's wall time goes to stderr.  OUT_DIR
 is emptied first.
 """
@@ -32,6 +32,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 COMMANDS = (
     ("generate-rastrigin", "generate --benchmark rastrigin --out {out}/rastrigin.csv"),
     ("generate-vdp", "generate --benchmark van-der-pol --out {out}/vdp.csv"),
+    ("generate-bouc-wen", "generate --benchmark bouc-wen --out {out}/bouc_wen.csv"),
+    ("generate-tanks", "generate --benchmark tanks --out {out}/tanks.csv"),
+    ("generate-building", "generate --benchmark building --out {out}/building.csv"),
     ("train-vdp", "train --benchmark van-der-pol --out {out}/vdp_hyper.json"),
     ("reduce-vdp", "reduce-sweep --benchmark van-der-pol --hyper-file {out}/vdp_hyper.json"
                    " --verify --out {out}/reduce_vdp.csv"),

@@ -3,7 +3,7 @@
 Subcommands: generate, train, reduce-sweep, accept-eval, online-eval,
 threshold-sweep, bench.  Configuration comes from an optional JSON config
 file plus kebab-case flag overrides.  Exit codes: 0 on success, 2 on
-configuration errors, 3 on numerical failures.
+configuration or data-file errors, 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .dataio import IngestionError, NormalizationError
 from .gp import FactorizationError, NumericalError, OptimizationError
 from .harness import (
     ConfigError,
@@ -113,6 +114,9 @@ def main(argv=None) -> int:
         records = _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (IngestionError, NormalizationError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (FactorizationError, NumericalError, OptimizationError, SimulationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

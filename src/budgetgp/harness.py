@@ -231,7 +231,8 @@ _SYSTEM_DATASETS = {
 }
 
 
-def _split(train: Dataset, val: Dataset, names, config, normalize: bool) -> BenchmarkData:
+def _split(train: Dataset, val: Dataset, names, config, normalize: bool,
+           target_name: str = "y") -> BenchmarkData:
     """The first ``initial_train`` rows start the model and the rest, cut to
     ``stream_size``, are streamed.  With ``normalize`` the z-scoring is
     fitted on the initial slice only, so no statistics leak in from
@@ -252,7 +253,7 @@ def _split(train: Dataset, val: Dataset, names, config, normalize: bool) -> Benc
     if config.stream_size is not None:
         rest = rest.subset(np.arange(min(config.stream_size, rest.n)))
     stream = [(rest.inputs[i], float(rest.targets[i])) for i in range(rest.n)]
-    return BenchmarkData(initial, stream, val, names)
+    return BenchmarkData(initial, stream, val, names, target_name)
 
 
 def resolve_benchmark(config: ExperimentConfig, seed: int) -> BenchmarkData:
@@ -282,7 +283,8 @@ def resolve_benchmark(config: ExperimentConfig, seed: int) -> BenchmarkData:
         eval_n = min(config.eval_size, max(2, n // 10))
         train = Dataset(table.rows[: n - eval_n], table.targets[: n - eval_n])
         val = Dataset(table.rows[n - eval_n:], table.targets[n - eval_n:])
-        return _split(train, val, table.feature_names, config, normalize=True)
+        return _split(train, val, table.feature_names, config, normalize=True,
+                      target_name=table.target_name)
 
     raise ConfigError(f"benchmark: unknown {b!r}")
 

@@ -177,12 +177,19 @@ def _merged(system: str, config: SimConfig):
     return params, noise
 
 
-def _rk4(rhs, state, u, dt):
-    k1 = rhs(state, u)
-    k2 = rhs(state + 0.5 * dt * k1, u)
-    k3 = rhs(state + 0.5 * dt * k2, u)
-    k4 = rhs(state + dt * k3, u)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(rhs, s, u, dt):
+    # Entry by entry, in the order of the array form s + (0.5*dt)*k and
+    # s + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so the same floats come out.
+    h = 0.5 * dt
+    k1 = rhs(s, u)
+    k2 = rhs([a + h * b for a, b in zip(s, k1)], u)
+    k3 = rhs([a + h * b for a, b in zip(s, k2)], u)
+    k4 = rhs([a + dt * b for a, b in zip(s, k3)], u)
+    c = dt / 6.0
+    return [
+        a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+        for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
+    ]
 
 
 def _bouc_wen_rhs(p):
@@ -192,8 +199,8 @@ def _bouc_wen_rhs(p):
             p["gamma"] * abs(v) * abs(z) ** (p["nu"] - 1.0) * z
             + p["delta"] * v * abs(z) ** p["nu"]
         )
-        dv = (u - p["k_L"] * y - p["c_L"] * v - z) / p["m_L"]
-        return np.array([v, dv, dz])
+        dv = (u[0] - p["k_L"] * y - p["c_L"] * v - z) / p["m_L"]
+        return v, dv, dz
 
     return rhs
 
@@ -202,22 +209,20 @@ def _tanks_rhs(p):
     def rhs(s, u):
         x1 = min(max(s[0], 0.0), p["level_max"])
         x2 = min(max(s[1], 0.0), p["level_max"])
-        return np.array(
-            [
-                -p["k1"] * math.sqrt(x1) + p["k4"] * u,
-                p["k2"] * math.sqrt(x1) - p["k3"] * math.sqrt(x2),
-            ]
+        return (
+            -p["k1"] * math.sqrt(x1) + p["k4"] * u[0],
+            p["k2"] * math.sqrt(x1) - p["k3"] * math.sqrt(x2),
         )
 
     return rhs
 
 
 def _van_der_pol_rhs(p):
-    # u carries the acceleration disturbance, sampled once per step and held
-    # over the integration interval.
+    # u[0] carries the acceleration disturbance, sampled once per step and
+    # held over the integration interval.
     def rhs(s, u):
         x, v = s
-        return np.array([v, p["mu"] * (1.0 - x * x) * v - x + u])
+        return v, p["mu"] * (1.0 - x * x) * v - x + u[0]
 
     return rhs
 
@@ -229,24 +234,34 @@ def _building_rhs(p):
         dT_z = ((T_w - T_z) / p["R_z"] + (T_r - T_z) / p["R_r"]) / p["C_z"]
         dT_w = ((T_z - T_w) / p["R_z"] + (T_a - T_w) / p["R_w"]) / p["C_w"]
         dT_r = ((T_z - T_r) / p["R_r"] + p["c_w"] * mdot * (p["T_s"] - T_r)) / p["C_r"]
-        return np.array([dT_z, dT_w, dT_r])
+        return dT_z, dT_w, dT_r
 
     return rhs
 
 
-def ambient_temperature(k: int, dt: float, p: dict, noise: float, rng) -> float:
-    """Synthetic ambient trace: seasonal drift + daily cycle + white noise."""
+# Per system: right-hand side, default initial state, the noise scales added
+# to the state after every step (one per state entry) and the scale of the
+# one draw made per sample: the oscillator's acceleration disturbance, the
+# tanks' measurement noise, the building's ambient-temperature noise.
+_SYSTEMS = {
+    "bouc-wen": (_bouc_wen_rhs, (0.0, 0.0, 0.0), ("w_y", "w_v", "w_z"), None),
+    "tanks": (_tanks_rhs, (0.0, 0.0), ("w1", "w2"), "e"),
+    "van-der-pol": (_van_der_pol_rhs, (0.0, 0.0), (), "w"),
+    "building": (_building_rhs, (20.0, 20.0, 20.0), ("w1", "w2", "w3"), "T_a_noise"),
+}
+
+
+def ambient_temperature(k: int, dt: float, p: dict) -> float:
+    """Synthetic ambient trace before its white noise: seasonal drift plus
+    daily cycle."""
     t = k * dt
     day = t / 86400.0
     hour = (day % 1.0) * 24.0
-    value = (
+    return (
         p["T_a_mean"]
         - p["T_a_seasonal"] * math.cos(2.0 * math.pi * day / 365.0)
         + p["T_a_daily"] * math.sin(2.0 * math.pi * (hour - 9.0) / 24.0)
     )
-    if noise > 0.0:
-        value += noise * rng.standard_normal()
-    return value
 
 
 def comfort_setpoint(k: int, dt: float, p: dict) -> float:
@@ -284,12 +299,15 @@ def default_input(system: str, config: SimConfig) -> np.ndarray | None:
     raise ValueError(f"unknown system {system!r}")
 
 
-def _input_at(input_signal, k, t):
-    if input_signal is None:
-        return 0.0
-    if callable(input_signal):
-        return input_signal(t)
-    return input_signal[k]
+def _sampled_input(signal, t: np.ndarray) -> np.ndarray:
+    """The input at every sample time: a callable is evaluated at each
+    time, an array is used as given."""
+    u = np.asarray(
+        [signal(tk) for tk in t.tolist()] if callable(signal) else signal, dtype=float
+    )
+    if u.ndim != 1 or len(u) < len(t):
+        raise ValueError(f"input_signal needs {len(t)} samples, got shape {u.shape}")
+    return u[: len(t)]
 
 
 def simulate(system: str, config: SimConfig, input_signal=None):
@@ -301,94 +319,65 @@ def simulate(system: str, config: SimConfig, input_signal=None):
     scaled by sqrt(dt), except the oscillator's acceleration disturbance
     which is sampled once per interval and held while integrating; the
     building runs closed loop with its PI controller when no explicit flow
-    signal is given.
+    signal is given.  ``input_signal`` is a callable of time or an array
+    with one value per sample; the oscillator takes none.
+
+    The draws come from ``default_rng(config.seed)`` in one fixed order:
+    the per-sample draw for sample 0 (disturbance, measurement or ambient
+    noise; skipped for every sample when its scale is 0), then per step the
+    state-noise draws and the next sample's draw.  A state that leaves the
+    finite range raises :class:`SimulationError` with the step index; an
+    unknown system, an ``initial_state`` of the wrong length or an input
+    the system cannot take raises ``ValueError``.
     """
-    if system not in SYSTEM_DEFAULTS:
+    if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
+    make_rhs, default_state, state_noise, sample_noise = _SYSTEMS[system]
     params, noise = _merged(system, config)
-    rng = np.random.default_rng(config.seed)
     dt = config.dt
     n = config.n_steps
     t = np.arange(n + 1) * dt
-    sqdt = math.sqrt(dt)
+    state = list(default_state)
+    if config.initial_state is not None:
+        x0 = np.asarray(config.initial_state, dtype=float)
+        if x0.shape != (len(state),):
+            raise ValueError(
+                f"{system}: initial_state needs {len(state)} values, got shape {x0.shape}"
+            )
+        state = x0.tolist()
 
+    m = len(state_noise)
+    scale = {**params, **noise}.get(sample_noise, 0.0)
+    rng = np.random.default_rng(config.seed)
+    if scale > 0.0:
+        block = rng.standard_normal(1 + n * (m + 1))
+        per_step = block[1:].reshape(n, m + 1)
+        per_sample = scale * np.concatenate((block[:1], per_step[:, m]))
+    else:
+        per_step = rng.standard_normal(n * m).reshape(n, m)
+        per_sample = np.zeros(n + 1)
+    kicks = per_step[:, :m]  # scaled in place: the block is the only noise array
+    kicks *= np.array([noise[name] for name in state_noise]) * math.sqrt(dt)
+
+    closed_loop = system == "building" and input_signal is None
     if system == "van-der-pol":
-        state = (
-            np.zeros(2) if config.initial_state is None
-            else np.asarray(config.initial_state, float)
+        if input_signal is not None:
+            raise ValueError("van-der-pol takes no input_signal")
+        drive = per_sample[:, None]
+    elif system == "building":
+        T_a = np.fromiter(
+            (ambient_temperature(k, dt, params) for k in range(n + 1)), float, n + 1
         )
-        rhs = _van_der_pol_rhs(params)
-        y = np.empty(n + 1)
-        y[0] = state[0]
-        w = noise["w"]
-        for k in range(n):
-            # The acceleration disturbance is a discrete-time sequence: one
-            # draw per sampling interval, held constant while integrating.
-            wk = w * rng.standard_normal() if w > 0.0 else 0.0
-            state = _rk4(rhs, state, wk, dt)
-            if not np.all(np.isfinite(state)):
-                raise SimulationError(k, f"non-finite state at step {k}")
-            y[k + 1] = state[0]
-        return t, np.empty((n + 1, 0)), y
-
-    if system == "bouc-wen":
+        if scale > 0.0:
+            T_a += per_sample
+        mdot = np.zeros(n + 1) if closed_loop else _sampled_input(input_signal, t)
+        drive = np.column_stack((T_a, mdot))
+    else:
         if input_signal is None:
             input_signal = default_input(system, config)
-        state = (
-            np.zeros(3) if config.initial_state is None
-            else np.asarray(config.initial_state, float)
-        )
-        rhs = _bouc_wen_rhs(params)
-        y = np.empty(n + 1)
-        u_log = np.empty(n + 1)
-        y[0] = state[0]
-        u_log[0] = _input_at(input_signal, 0, 0.0)
-        stds = np.array([noise["w_y"], noise["w_v"], noise["w_z"]])
-        for k in range(n):
-            u = _input_at(input_signal, k, t[k])
-            state = _rk4(rhs, state, u, dt)
-            state += stds * sqdt * rng.standard_normal(3)
-            if not np.all(np.isfinite(state)):
-                raise SimulationError(k, f"non-finite state at step {k}")
-            y[k + 1] = state[0]
-            u_log[k + 1] = _input_at(input_signal, k + 1, t[k + 1])
-        return t, u_log[:, None], y
+        drive = _sampled_input(input_signal, t)[:, None]
 
-    if system == "tanks":
-        if input_signal is None:
-            input_signal = default_input(system, config)
-        state = (
-            np.zeros(2) if config.initial_state is None
-            else np.asarray(config.initial_state, float)
-        )
-        rhs = _tanks_rhs(params)
-        y = np.empty(n + 1)
-        u_log = np.empty(n + 1)
-        e = noise["e"]
-        y[0] = state[1] + (e * rng.standard_normal() if e > 0 else 0.0)
-        u_log[0] = _input_at(input_signal, 0, 0.0)
-        stds = np.array([noise["w1"], noise["w2"]])
-        for k in range(n):
-            u = _input_at(input_signal, k, t[k])
-            state = _rk4(rhs, state, u, dt)
-            state += stds * sqdt * rng.standard_normal(2)
-            np.clip(state, 0.0, params["level_max"], out=state)
-            y[k + 1] = state[1] + (e * rng.standard_normal() if e > 0 else 0.0)
-            u_log[k + 1] = _input_at(input_signal, k + 1, t[k + 1])
-        return t, u_log[:, None], y
-
-    # building
-    state = (
-        np.full(3, 20.0) if config.initial_state is None
-        else np.asarray(config.initial_state, float)
-    )
-    rhs = _building_rhs(params)
-    closed_loop = input_signal is None
-    y = np.empty(n + 1)
-    u_log = np.empty((n + 1, 2))
     integral = 0.0
-    stds = np.array([noise["w1"], noise["w2"], noise["w3"]])
-    ta_noise = params["T_a_noise"]
 
     def controller(T_z, k):
         nonlocal integral
@@ -400,24 +389,30 @@ def simulate(system: str, config: SimConfig, input_signal=None):
             mdot = min(max(mdot, 0.0), params["mdot_max"])
         return mdot
 
-    T_a0 = ambient_temperature(0, dt, params, ta_noise, rng)
-    mdot0 = controller(state[0], 0) if closed_loop else _input_at(input_signal, 0, 0.0)
-    y[0] = state[0]
-    u_log[0] = (T_a0, mdot0)
+    rhs = make_rhs(params)
+    out = 1 if system == "tanks" else 0  # the tanks measure the lower level
+    y = np.empty(n + 1)
+    y[0] = state[out]
     for k in range(n):
-        state = _rk4(rhs, state, u_log[k], dt)
-        state += stds * sqdt * rng.standard_normal(3)
-        if not np.all(np.isfinite(state)):
+        if closed_loop:
+            drive[k, 1] = controller(state[0], k)
+        try:
+            state = _rk4(rhs, state, drive[k].tolist(), dt)
+        except (OverflowError, ZeroDivisionError) as exc:
+            # float ** and / raise where the array form gave inf or nan
+            raise SimulationError(k, f"non-finite state at step {k}: {exc}") from exc
+        if m:
+            state = [x + w for x, w in zip(state, kicks[k].tolist())]
+        if not all(map(math.isfinite, state)):
             raise SimulationError(k, f"non-finite state at step {k}")
-        y[k + 1] = state[0]
-        T_a = ambient_temperature(k + 1, dt, params, ta_noise, rng)
-        mdot = (
-            controller(state[0], k + 1)
-            if closed_loop
-            else _input_at(input_signal, k + 1, t[k + 1])
-        )
-        u_log[k + 1] = (T_a, mdot)
-    return t, u_log, y
+        if system == "tanks":
+            state = [min(max(x, 0.0), params["level_max"]) for x in state]
+        y[k + 1] = state[out]
+    if closed_loop:
+        drive[n, 1] = controller(state[0], n)
+    if system == "tanks":
+        y += per_sample
+    return t, (np.empty((n + 1, 0)) if system == "van-der-pol" else drive), y
 
 
 # --- lag embedding -------------------------------------------------------------

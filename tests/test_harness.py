@@ -146,6 +146,17 @@ class TestGenerate:
         assert table.n == 27
         assert table.feature_names == ("x1", "x2")
 
+    def test_csv_keeps_target_column_name(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "d.csv"
+        rows = [",".join(repr(float(v)) for v in rng.normal(size=4)) for _ in range(60)]
+        path.write_text("\n".join(["a,b,c,medv", *rows]) + "\n")
+        out = tmp_path / "g.csv"
+        cmd_generate(tiny_config(benchmark="csv", data_file=str(path), target_column="medv",
+                                 initial_train=20, stream_size=None, out=str(out)))
+        for written in (out, tmp_path / "g_val.csv"):
+            assert written.read_text().splitlines()[0] == "a,b,c,medv"
+
 
 class TestTrain:
     def test_hyper_file_round_trip(self, tmp_path):
@@ -350,8 +361,9 @@ class TestThresholdSweep:
 
 class TestBench:
     def test_medians_and_model_reported(self):
-        config = ExperimentConfig(benchmark="rastrigin", bench_repeats=50,
-                                  bench_sizes=(20, 100))
+        # The default 1000 repeats give each median a window of a few hundred
+        # milliseconds, so a slow spell of the machine cannot flip the order.
+        config = ExperimentConfig(benchmark="rastrigin", bench_sizes=(20, 100))
         records = cmd_bench(config)
         assert len(records) == 2 * len(COMPLEXITY_MODEL)
         for kind, poly in COMPLEXITY_MODEL.items():
@@ -359,7 +371,7 @@ class TestBench:
             large = next(r for r in records if r.criterion == kind and r.size == 100)
             assert large.median_ms > small.median_ms
             assert poly in small.note
-            assert small.repeats == 50
+            assert small.repeats == 1000
 
 
 class TestCli:
@@ -380,6 +392,25 @@ class TestCli:
     def test_exit_two_on_config_error(self, capsys):
         assert main(["online-eval", "--benchmark", "not-a-benchmark"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, message", [
+        (None, "no such file"),
+        ("a,y\n1.0,2.0\nx,3.0\n", "unparsable cell"),
+        ("".join(["a,b,y\n"] + [f"1.0,{i}.5,{i}.0\n" for i in range(30)]), "constant feature"),
+    ], ids=["missing-file", "unparsable-cell", "constant-column"])
+    def test_exit_two_on_data_file_error(self, tmp_path, capsys, table, message):
+        path = tmp_path / "d.csv"
+        if table is not None:
+            path.write_text(table)
+        code = main([
+            "online-eval", "--benchmark", "csv", "--data-file", str(path),
+            "--target-column", "y", "--initial-train", "10", "--budget", "10",
+            "--err-threshold", "1.0", "--criterion", "mll",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert len(err.splitlines()) == 1
 
     def test_exit_three_on_numerical_failure(self, monkeypatch, capsys):
         import budgetgp.cli as cli_mod

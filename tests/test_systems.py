@@ -1,17 +1,24 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from budgetgp import systems
 from budgetgp.systems import (
     BENCHMARK_BOUNDS,
     LAG_PRESETS,
+    SYSTEM_DEFAULTS,
     LagSpec,
     SimConfig,
     SimulationError,
+    ambient_temperature,
     building_dataset,
     bouc_wen_dataset,
+    comfort_setpoint,
+    default_input,
     eval_benchmark_function,
     lag_embed,
     sample_uniform,
@@ -123,6 +130,192 @@ class TestSimulate:
             SimConfig(dt=1.0, horizon=0.5)
         with pytest.raises(ValueError):
             SimConfig(dt=1.0, horizon=2.0, noise_scales={"w": -1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tanks_non_finite_input_reported(self, bad):
+        config = SimConfig(dt=1.0, horizon=10.0, seed=0)
+        with pytest.raises(SimulationError) as err:
+            simulate("tanks", config, input_signal=lambda t: bad if t >= 3.0 else 1.0)
+        assert err.value.step_index == 3
+
+    def test_overflowing_power_reported(self):
+        config = SimConfig(dt=1e-3, horizon=0.01, seed=0, params={"nu": 3.0},
+                           initial_state=np.array([0.0, 0.0, 1e200]))
+        with pytest.raises(SimulationError) as err:
+            simulate("bouc-wen", config, input_signal=lambda t: 0.0)
+        assert err.value.step_index == 0
+
+    def test_van_der_pol_rejects_input_signal(self):
+        with pytest.raises(ValueError, match="van-der-pol"):
+            simulate("van-der-pol", SimConfig(dt=0.1, horizon=1.0),
+                     input_signal=lambda t: 1.0)
+
+    @pytest.mark.parametrize("system, x0", [
+        ("van-der-pol", [1.0]),
+        ("tanks", [1.0, 2.0, 3.0]),
+        ("bouc-wen", [0.0, 0.0]),
+        ("building", [[20.0, 20.0, 20.0]]),
+    ])
+    def test_initial_state_of_wrong_length_rejected(self, system, x0):
+        config = SimConfig(dt=1.0, horizon=5.0, seed=0, initial_state=np.array(x0))
+        signal = None if system == "van-der-pol" else (lambda t: 0.0)
+        with pytest.raises(ValueError, match=f"{system}: initial_state"):
+            simulate(system, config, input_signal=signal)
+
+    def test_short_input_array_rejected(self):
+        with pytest.raises(ValueError, match="input_signal"):
+            simulate("tanks", SimConfig(dt=1.0, horizon=10.0), input_signal=np.ones(5))
+
+
+def reference_simulate(system, config, input_signal=None):
+    """The array-form loop the simulators ran before the float loop: a NumPy
+    state, one RNG call per draw and the input looked up at every step."""
+    p = {**SYSTEM_DEFAULTS[system], **config.params}
+    noise = {**systems._NOISE_DEFAULTS[system], **config.noise_scales}
+    rng = np.random.default_rng(config.seed)
+    dt, n = config.dt, config.n_steps
+    t = np.arange(n + 1) * dt
+    sqdt = math.sqrt(dt)
+    if input_signal is None:
+        input_signal = default_input(system, config)
+
+    def u_at(k):
+        return input_signal(t[k]) if callable(input_signal) else input_signal[k]
+
+    def rk4(rhs, s, u):
+        k1 = rhs(s, u)
+        k2 = rhs(s + 0.5 * dt * k1, u)
+        k3 = rhs(s + 0.5 * dt * k2, u)
+        k4 = rhs(s + dt * k3, u)
+        return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def start(default):
+        x0 = default if config.initial_state is None else config.initial_state
+        return np.array(x0, dtype=float)
+
+    y = np.empty(n + 1)
+    if system == "van-der-pol":
+        def rhs(s, u):
+            return np.array([s[1], p["mu"] * (1.0 - s[0] * s[0]) * s[1] - s[0] + u])
+
+        state = start([0.0, 0.0])
+        y[0] = state[0]
+        for k in range(n):
+            wk = noise["w"] * rng.standard_normal() if noise["w"] > 0.0 else 0.0
+            state = rk4(rhs, state, wk)
+            y[k + 1] = state[0]
+        return t, np.empty((n + 1, 0)), y
+
+    if system == "bouc-wen":
+        def rhs(s, u):
+            yy, v, z = s
+            dz = p["alpha"] * v - p["beta"] * (
+                p["gamma"] * abs(v) * abs(z) ** (p["nu"] - 1.0) * z
+                + p["delta"] * v * abs(z) ** p["nu"]
+            )
+            return np.array([v, (u - p["k_L"] * yy - p["c_L"] * v - z) / p["m_L"], dz])
+
+        stds = np.array([noise["w_y"], noise["w_v"], noise["w_z"]])
+        state = start([0.0, 0.0, 0.0])
+        y[0] = state[0]
+        for k in range(n):
+            state = rk4(rhs, state, u_at(k)) + stds * sqdt * rng.standard_normal(3)
+            y[k + 1] = state[0]
+        return t, np.array([u_at(k) for k in range(n + 1)], float)[:, None], y
+
+    if system == "tanks":
+        def rhs(s, u):
+            x1 = min(max(s[0], 0.0), p["level_max"])
+            x2 = min(max(s[1], 0.0), p["level_max"])
+            return np.array([
+                -p["k1"] * math.sqrt(x1) + p["k4"] * u,
+                p["k2"] * math.sqrt(x1) - p["k3"] * math.sqrt(x2),
+            ])
+
+        def measured(s):
+            return s[1] + (noise["e"] * rng.standard_normal() if noise["e"] > 0 else 0.0)
+
+        stds = np.array([noise["w1"], noise["w2"]])
+        state = start([0.0, 0.0])
+        y[0] = measured(state)
+        for k in range(n):
+            state = rk4(rhs, state, u_at(k)) + stds * sqdt * rng.standard_normal(2)
+            state = np.clip(state, 0.0, p["level_max"])
+            y[k + 1] = measured(state)
+        return t, np.array([u_at(k) for k in range(n + 1)], float)[:, None], y
+
+    def rhs(s, u):
+        T_z, T_w, T_r = s
+        T_a, mdot = u
+        return np.array([
+            ((T_w - T_z) / p["R_z"] + (T_r - T_z) / p["R_r"]) / p["C_z"],
+            ((T_z - T_w) / p["R_z"] + (T_a - T_w) / p["R_w"]) / p["C_w"],
+            ((T_z - T_r) / p["R_r"] + p["c_w"] * mdot * (p["T_s"] - T_r)) / p["C_r"],
+        ])
+
+    def ambient(k):
+        value = ambient_temperature(k, dt, p)
+        if p["T_a_noise"] > 0.0:
+            value += p["T_a_noise"] * rng.standard_normal()
+        return value
+
+    integral = 0.0
+
+    def flow(T_z, k):
+        nonlocal integral
+        if input_signal is not None:
+            return u_at(k)
+        error = comfort_setpoint(k, dt, p) - T_z
+        integral += error * dt
+        mdot = p["kp"] * error + p["ki"] * integral
+        if mdot <= 0.0 or mdot >= p["mdot_max"]:
+            integral -= error * dt
+            mdot = min(max(mdot, 0.0), p["mdot_max"])
+        return mdot
+
+    stds = np.array([noise["w1"], noise["w2"], noise["w3"]])
+    state = start([20.0, 20.0, 20.0])
+    u_log = np.empty((n + 1, 2))
+    u_log[0] = (ambient(0), flow(state[0], 0))
+    y[0] = state[0]
+    for k in range(n):
+        state = rk4(rhs, state, u_log[k]) + stds * sqdt * rng.standard_normal(3)
+        y[k + 1] = state[0]
+        u_log[k + 1] = (ambient(k + 1), flow(state[0], k + 1))
+    return t, u_log, y
+
+
+REFERENCE_CASES = [
+    pytest.param("van-der-pol", dict(dt=0.1, horizon=30.0, seed=3, initial_state=[1.5, -0.5]),
+                 None, id="van-der-pol"),
+    pytest.param("bouc-wen", dict(dt=1 / 750, horizon=0.4, seed=4,
+                                  noise_scales={"w_y": 1e-5, "w_z": 1e-3}),
+                 None, id="bouc-wen-default-input"),
+    pytest.param("bouc-wen", dict(dt=1 / 750, horizon=0.4, seed=5),
+                 lambda t: 40.0 * math.sin(60.0 * t), id="bouc-wen-callable"),
+    pytest.param("tanks", dict(dt=4.0, horizon=1200.0, seed=6), None, id="tanks-default-input"),
+    pytest.param("tanks", dict(dt=4.0, horizon=1200.0, seed=7, noise_scales={"e": 0.0}),
+                 np.repeat(np.linspace(0.2, 1.8, 13), 25), id="tanks-array-no-measurement-noise"),
+    pytest.param("building", dict(dt=900.0, horizon=900.0 * 700, seed=8),
+                 None, id="building-closed-loop"),
+    pytest.param("building", dict(dt=900.0, horizon=900.0 * 300, seed=9,
+                                  params={"T_a_noise": 0.0}),
+                 None, id="building-closed-loop-quiet-ambient"),
+    pytest.param("building", dict(dt=900.0, horizon=900.0 * 300, seed=10,
+                                  initial_state=[15.0, 10.0, 30.0]),
+                 lambda t: 0.02 + 0.01 * math.sin(t / 3600.0), id="building-callable-flow"),
+    pytest.param("building", dict(dt=900.0, horizon=900.0 * 300, seed=11),
+                 np.linspace(0.0, 0.05, 301), id="building-array-flow"),
+]
+
+
+@pytest.mark.parametrize("system, kwargs, signal", REFERENCE_CASES)
+def test_matches_array_form_reference(system, kwargs, signal):
+    got = simulate(system, SimConfig(**kwargs), input_signal=signal)
+    want = reference_simulate(system, SimConfig(**kwargs), input_signal=signal)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 def final_state_error(system, dt, horizon, x0, input_signal=None, **params):
