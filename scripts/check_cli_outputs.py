@@ -11,11 +11,12 @@ paths) and diffing the two listings:
     diff before.txt after.txt
 
 The set covers ``generate`` for a function and for every simulated system,
-``train``, ``reduce-sweep --verify`` to CSV and to JSON, ``accept-eval``
-with and without ``--maps``, ``online-eval`` with each insertion gate, with
-and without ``--accept``, and ``threshold-sweep``.  Each command's stdout is
-kept as ``<name>.stdout``; each command's wall time goes to stderr.  OUT_DIR
-is emptied first.
+``generate`` and ``online-eval`` on the csv benchmark fed the generated
+van-der-pol file, ``train``, ``reduce-sweep --verify`` to CSV and to JSON,
+``accept-eval`` with and without ``--maps``, ``online-eval`` with each
+insertion gate, with and without ``--accept``, and ``threshold-sweep``.
+Each command's stdout is kept as ``<name>.stdout``; each command's wall
+time goes to stderr.  OUT_DIR is emptied first.
 """
 
 import hashlib
@@ -35,6 +36,8 @@ COMMANDS = (
     ("generate-bouc-wen", "generate --benchmark bouc-wen --out {out}/bouc_wen.csv"),
     ("generate-tanks", "generate --benchmark tanks --out {out}/tanks.csv"),
     ("generate-building", "generate --benchmark building --out {out}/building.csv"),
+    ("generate-csv", "generate --benchmark csv --data-file {out}/vdp.csv --target-column y"
+                     " --out {out}/csv_vdp.csv"),
     ("train-vdp", "train --benchmark van-der-pol --out {out}/vdp_hyper.json"),
     ("reduce-vdp", "reduce-sweep --benchmark van-der-pol --hyper-file {out}/vdp_hyper.json"
                    " --verify --out {out}/reduce_vdp.csv"),
@@ -56,6 +59,9 @@ COMMANDS = (
     ("online-building-err", "online-eval --benchmark building --stream-size 2000"
                             " --criterion mll --train-restarts 0 --err-threshold 0.8"
                             " --accept --out {out}/online_building.csv"),
+    ("online-csv-err", "online-eval --benchmark csv --data-file {out}/vdp.csv --target-column y"
+                       " --criterion mean-relevance,lpd --err-threshold 0.005 --accept"
+                       " --out {out}/online_csv.csv"),
     ("threshold-rastrigin", "threshold-sweep --benchmark rastrigin --thresholds 0.5,2.0"
                             " --accept --out {out}/threshold_rastrigin.json"),
 )

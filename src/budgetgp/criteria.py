@@ -133,12 +133,6 @@ def loo_predict(partition: PartitionView, hyper: Hyperparameters):
     return float(mu[0]), float(var[0])
 
 
-def _neg_log_density(err_sq: float, total_var: float) -> float:
-    if total_var <= 0.0:
-        raise NumericalError("non-positive variance in log-density evaluation")
-    return 0.5 * math.log(2.0 * math.pi * total_var) + err_sq / (2.0 * total_var)
-
-
 def reduction_score(
     kind: CriterionKind,
     partition: PartitionView,
@@ -198,7 +192,7 @@ def reduction_score(
     if kind is CriterionKind.LOG_PREDICTIVE_DENSITY:
         mu, var = loo_predict(partition, hyper)
         err_sq = (partition.removed_y - mu) ** 2
-        return _neg_log_density(err_sq, var + hyper.noise_variance)
+        return float(_neg_log_densities(err_sq, var + hyper.noise_variance))
 
     raise ValueError(f"unknown criterion {kind!r}")
 
@@ -308,14 +302,7 @@ def acceptance_score(
     x, y = point
     x = np.asarray(x, dtype=float).reshape(1, -1)
     mu, var = predict(cache, dataset, hyper, x)
-    acc = acceptance_kind_for(kind)
-    if acc is AcceptanceKind.VARIANCE:
-        return float(var[0])
-    if acc is AcceptanceKind.SQUARED_ERROR:
-        return (float(y) - float(mu[0])) ** 2
-    return _neg_log_density(
-        (float(y) - float(mu[0])) ** 2, float(var[0]) + hyper.noise_variance
-    )
+    return float(_paired_scores(kind, var, float(y) - mu, hyper)[0])
 
 
 def acceptance_scores(
@@ -333,10 +320,17 @@ def acceptance_scores(
         raise StaleCacheError("cache was fitted on a different dataset")
     s2 = hyper.noise_variance + cache.jitter
     var = _clamp_variance(s2 * (1.0 - s2 * _inverse_diagonal(cache.chol)))
+    return _paired_scores(kind, var, s2 * cache.alpha, hyper)
+
+
+def _paired_scores(kind: CriterionKind, latent_var: np.ndarray, residual: np.ndarray,
+                   hyper: Hyperparameters) -> np.ndarray:
+    """The acceptance scores paired with ``kind`` from latent variances and
+    residuals y - mu: the variance, the squared error, or the negative
+    Gaussian log density of y under the noisy prediction."""
     acc = acceptance_kind_for(kind)
     if acc is AcceptanceKind.VARIANCE:
-        return var
-    err_sq = (s2 * cache.alpha) ** 2
+        return latent_var
     if acc is AcceptanceKind.SQUARED_ERROR:
-        return err_sq
-    return _neg_log_densities(err_sq, var + hyper.noise_variance)
+        return residual**2
+    return _neg_log_densities(residual**2, latent_var + hyper.noise_variance)

@@ -136,6 +136,17 @@ class Hyperparameters:
         v = np.exp(theta)
         return cls(signal_variance=v[0], lengthscales=v[1:-1], noise_variance=v[-1])
 
+    def to_dict(self) -> dict:
+        """The JSON record of the hyper file and the snapshot."""
+        return {"signal_variance": self.signal_variance,
+                "lengthscales": self.lengthscales.tolist(),
+                "noise_variance": self.noise_variance}
+
+    @classmethod
+    def from_dict(cls, record: dict) -> "Hyperparameters":
+        """Inverse of :meth:`to_dict`; raises ``KeyError`` for a missing key."""
+        return cls(record["signal_variance"], record["lengthscales"], record["noise_variance"])
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -303,14 +314,12 @@ def predict(
     dataset: Dataset,
     hyper: Hyperparameters,
     Xstar: np.ndarray,
-    full_cov: bool = False,
 ):
     """Posterior mean and latent variance of ``f`` at the test inputs.
 
     Returns ``(mean, variance)`` where variance is the per-point latent
-    variance (observation noise not added), or the full covariance matrix
-    when ``full_cov`` is set.  Negative diagonal values within roundoff of
-    zero are clamped to zero.
+    variance (observation noise not added).  Negative values within
+    roundoff of zero are clamped to zero.
     """
     if cache.dataset_version != dataset.version:
         raise StaleCacheError(
@@ -324,10 +333,6 @@ def predict(
     V, info = dtrtrs(cache.chol, Ks.T, lower=1)
     if info != 0:
         raise NumericalError(f"triangular solve failed (LAPACK info {info})")
-    if full_cov:
-        cov = kernel_matrix(Xstar, Xstar, hyper) - V.T @ V
-        np.fill_diagonal(cov, _clamp_variance(np.diagonal(cov).copy()))
-        return mean, cov
     var = hyper.signal_variance - np.einsum("ij,ij->j", V, V)
     return mean, _clamp_variance(var)
 
@@ -354,11 +359,7 @@ def _lml_and_gradient(dataset: Dataset, hyper: Hyperparameters):
     L = _cholesky_lower(Kn)
     alpha = cho_solve((L, True), dataset.targets, check_finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        lml = (
-            -0.5 * float(dataset.targets @ alpha)
-            - float(np.sum(np.log(np.diagonal(L))))
-            - 0.5 * n * LOG_2PI
-        )
+        lml = _lml_from_cache(PosteriorCache(L, alpha, dataset.version), dataset)
     if not np.isfinite(lml):
         return lml, np.full(p + 2, np.nan)
     Kinv = cho_solve((L, True), np.eye(n), check_finite=False)

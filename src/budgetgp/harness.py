@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +38,9 @@ from .gp import (
     Dataset,
     Hyperparameters,
     NumericalError,
+    _lml_from_cache,
     fit_cache,
-    log_marginal_likelihood,
+    kernel_matrix,
     optimize_hyperparameters,
     predict,
 )
@@ -149,8 +152,30 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"criteria: {exc}") from None
 
-    def validate(self) -> None:
+    def _field_problems(self) -> list:
+        """Numeric fields that are not numbers of their annotated type (a
+        config file can set any JSON value) or are out of range."""
         problems = []
+        number = {"int": numbers.Integral, "float": numbers.Real}
+        for f in dataclasses.fields(self):
+            value, kind = getattr(self, f.name), number.get(f.type.removesuffix(" | None"))
+            if kind and not (isinstance(value, kind) or value is None and "None" in f.type):
+                problems.append(f"{f.name}: must be {f.type}")
+        if problems:
+            return problems
+        # eval_size >= 2: the SMSE needs two targets.
+        for name, low in (("budget", 1), ("initial_train", 2), ("stream_size", 0),
+                          ("eval_size", 2), ("bench_repeats", 1),
+                          ("var_threshold", 0), ("err_threshold", 0)):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= low):
+                problems.append(f"{name}: must be finite and >= {low}")
+        if not all(math.isfinite(t) and t >= 0 for t in self.thresholds_grid or ()):
+            problems.append("thresholds_grid: must be finite and >= 0")
+        return problems
+
+    def validate(self) -> None:
+        problems = self._field_problems()
         known = FUNCTION_BENCHMARKS + SYSTEM_BENCHMARKS + ("csv",)
         if self.benchmark not in known:
             problems.append(f"benchmark: unknown {self.benchmark!r} (choose from {known})")
@@ -160,14 +185,6 @@ class ExperimentConfig:
             problems.append("criteria: need at least one")
         if not self.seeds:
             problems.append("seeds: need at least one")
-        if self.budget < 1:
-            problems.append("budget: must be >= 1")
-        if self.initial_train < 2:
-            problems.append("initial_train: must be >= 2")
-        if self.var_threshold is not None and self.var_threshold < 0:
-            problems.append("var_threshold: must be >= 0")
-        if self.err_threshold is not None and self.err_threshold < 0:
-            problems.append("err_threshold: must be >= 0")
         if self.mr_reference not in ("model", "target"):
             problems.append("mr_reference: must be 'model' or 'target'")
         if problems:
@@ -184,34 +201,24 @@ class ExperimentConfig:
         unknown = set(payload) - names
         if unknown:
             raise ConfigError(f"config file {path}: unknown keys {sorted(unknown)}")
-        return cls(**payload)
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key, value in out.items():
-            if isinstance(value, tuple):
-                out[key] = list(value)
-        return out
+        try:
+            return cls(**payload)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
 
 
 @dataclass
 class BenchmarkData:
     """One seed's worth of benchmark data: the initial training sample, the
-    ordered stream of incoming points and a held-out evaluation set."""
+    ordered stream of incoming points, a held-out evaluation set and the
+    training set they were cut from (the initial rows, then the stream's)."""
 
     initial: Dataset
     stream: list
     eval_set: Dataset
+    full_train: Dataset
     feature_names: tuple = ()
     target_name: str = "y"
-
-    @property
-    def full_train(self) -> Dataset:
-        X = np.vstack([self.initial.inputs] + [x[None, :] for x, _ in self.stream]) \
-            if self.stream else self.initial.inputs
-        y = np.concatenate([self.initial.targets, [t for _, t in self.stream]]) \
-            if self.stream else self.initial.targets
-        return Dataset(X, y)
 
 
 def _lag_feature_names(benchmark: str) -> tuple:
@@ -248,12 +255,13 @@ def _split(train: Dataset, val: Dataset, names, config, normalize: bool,
             return normalize_apply(stats, t).to_dataset()
 
         train, val = apply(train), apply(val)
-    initial = train.subset(np.arange(initial_rows))
-    rest = train.subset(np.arange(initial_rows, train.n))
+    end = train.n
     if config.stream_size is not None:
-        rest = rest.subset(np.arange(min(config.stream_size, rest.n)))
-    stream = [(rest.inputs[i], float(rest.targets[i])) for i in range(rest.n)]
-    return BenchmarkData(initial, stream, val, names, target_name)
+        end = min(initial_rows + config.stream_size, end)
+    full = train.subset(np.arange(end))
+    initial = full.subset(np.arange(initial_rows))
+    stream = [(full.inputs[i], float(full.targets[i])) for i in range(initial_rows, end)]
+    return BenchmarkData(initial, stream, val, full, names, target_name)
 
 
 def resolve_benchmark(config: ExperimentConfig, seed: int) -> BenchmarkData:
@@ -322,30 +330,22 @@ def save_hyper_file(path, benchmark: str, per_seed: dict) -> None:
     payload = {
         "format_version": 1,
         "benchmark": benchmark,
-        "per_seed": {
-            str(seed): {
-                "signal_variance": h.signal_variance,
-                "lengthscales": h.lengthscales.tolist(),
-                "noise_variance": h.noise_variance,
-            }
-            for seed, h in per_seed.items()
-        },
+        "per_seed": {str(seed): h.to_dict() for seed, h in per_seed.items()},
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_hyper_file(path) -> dict:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != 1:
-        raise ConfigError(f"hyper file {path}: unsupported format version")
-    return {
-        int(seed): Hyperparameters(
-            signal_variance=entry["signal_variance"],
-            lengthscales=np.asarray(entry["lengthscales"]),
-            noise_variance=entry["noise_variance"],
-        )
-        for seed, entry in payload["per_seed"].items()
-    }
+    """Per-seed hyperparameters from a file :func:`save_hyper_file` wrote.
+    A missing, unparsable or malformed file raises :class:`ConfigError`."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        if payload.get("format_version") == 1:
+            return {int(seed): Hyperparameters.from_dict(entry)
+                    for seed, entry in payload["per_seed"].items()}
+    except (OSError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"hyper_file: {path}: {type(exc).__name__}: {exc}") from None
+    raise ConfigError(f"hyper_file: {path}: unsupported format version")
 
 
 def _hyper_for(config: ExperimentConfig, seed: int, data: BenchmarkData) -> Hyperparameters:
@@ -353,6 +353,9 @@ def _hyper_for(config: ExperimentConfig, seed: int, data: BenchmarkData) -> Hype
         per_seed = load_hyper_file(config.hyper_file)
         if seed not in per_seed:
             raise ConfigError(f"hyper_file: no entry for seed {seed}")
+        if per_seed[seed].dim != data.initial.dim:
+            raise ConfigError(f"hyper_file: seed {seed} has {per_seed[seed].dim} "
+                              f"lengthscales, the data {data.initial.dim} inputs")
         return per_seed[seed]
     return train_hyperparameters(data.initial, seed, config)
 
@@ -368,7 +371,7 @@ def _write_float_csv(path, header, rows) -> None:
 
 
 def _write_metadata(out_path, config: ExperimentConfig, extra: dict) -> None:
-    meta = {"config": config.to_dict()}
+    meta = {"config": dataclasses.asdict(config)}
     meta.update(extra)
     Path(out_path).with_suffix(".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
@@ -449,12 +452,13 @@ def cmd_train(config: ExperimentConfig) -> list:
         data = resolve_benchmark(config, seed)
         hyper = train_hyperparameters(data.initial, seed, config)
         per_seed[seed] = hyper
+        cache = fit_cache(data.initial, hyper)
         records.append(
             ResultRecord(
                 benchmark=config.benchmark, command="train", criterion="",
                 seed=seed, budget=config.budget, size=data.initial.n,
-                smse=_initial_smse(data, hyper),
-                note=f"lml={log_marginal_likelihood(data.initial, hyper)!r}",
+                smse=_mean_smse(cache, data.initial, hyper, data.eval_set),
+                note=f"lml={_lml_from_cache(cache, data.initial)!r}",
             )
         )
     save_hyper_file(config.out, config.benchmark, per_seed)
@@ -463,10 +467,10 @@ def cmd_train(config: ExperimentConfig) -> list:
     return records
 
 
-def _initial_smse(data: BenchmarkData, hyper: Hyperparameters) -> float:
-    cache = fit_cache(data.initial, hyper)
-    mu, _ = predict(cache, data.initial, hyper, data.eval_set.inputs)
-    return smse(mu, data.eval_set.targets)
+def _mean_smse(cache, dataset: Dataset, hyper, eval_set: Dataset) -> float:
+    """SMSE on ``eval_set`` of :func:`predict`'s mean, without its variance."""
+    mean = kernel_matrix(eval_set.inputs, dataset.inputs, hyper) @ cache.alpha
+    return smse(mean, eval_set.targets)
 
 
 def _verify_removal(dataset: Dataset, hyper, kind, chosen: int, mr_reference: str) -> None:
@@ -498,12 +502,12 @@ def cmd_reduce_sweep(config: ExperimentConfig) -> list:
             current = data.initial
             while True:
                 cache = fit_cache(current, hyper)
-                mu, _ = predict(cache, current, hyper, data.eval_set.inputs)
                 records.append(
                     ResultRecord(
                         benchmark=config.benchmark, command="reduce-sweep",
                         criterion=kind.value, seed=seed, budget=config.budget,
-                        size=current.n, smse=smse(mu, data.eval_set.targets),
+                        size=current.n,
+                        smse=_mean_smse(cache, current, hyper, data.eval_set),
                     )
                 )
                 if current.n <= max(config.reduce_min_size, 1):
@@ -572,7 +576,8 @@ def cmd_accept_eval(config: ExperimentConfig) -> list:
             ResultRecord(
                 benchmark=config.benchmark, command="accept-eval", criterion="initial",
                 seed=seed, budget=config.budget, size=data.initial.n,
-                smse=_initial_smse(data, hyper),
+                smse=_mean_smse(fit_cache(data.initial, hyper), data.initial, hyper,
+                                data.eval_set),
             )
         )
         for model, record in _stream_runs(config, "accept-eval", seed, data, hyper):
@@ -647,6 +652,9 @@ def cmd_bench(config: ExperimentConfig) -> list:
     ordering is reported, never asserted).  It times the per-partition
     reference path (:func:`reduction_score`) whose costs the model
     describes, not the one-factorization sweep the loops use."""
+    problems = config._field_problems()
+    if problems:
+        raise ConfigError("; ".join(problems))
     rng = np.random.default_rng(config.seeds[0] if config.seeds else 0)
     records = []
     kinds = list(CriterionKind)  # the cost comparison always covers all five

@@ -111,10 +111,10 @@ class OnlineGp:
             raise ValueError(
                 f"initial dataset ({self.dataset.n} rows) exceeds budget {self.budget}"
             )
-        if self.var_threshold is not None and self.var_threshold < 0:
-            raise ValueError("var_threshold must be >= 0 or disabled")
-        if self.err_threshold is not None and self.err_threshold < 0:
-            raise ValueError("err_threshold must be >= 0 or disabled")
+        for name in ("var_threshold", "err_threshold"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, or disabled")
         self._recache(self.dataset)
 
     def _recache(self, dataset: Dataset) -> None:
@@ -271,11 +271,7 @@ def snapshot_dict(model: OnlineGp) -> dict:
         "var_threshold": model.var_threshold,
         "err_threshold": model.err_threshold,
         "use_acceptance": model.use_acceptance,
-        "hyper": {
-            "signal_variance": model.hyper.signal_variance,
-            "lengthscales": model.hyper.lengthscales.tolist(),
-            "noise_variance": model.hyper.noise_variance,
-        },
+        "hyper": model.hyper.to_dict(),
         "inputs": model.dataset.inputs.tolist(),
         "targets": model.dataset.targets.tolist(),
     }
@@ -285,14 +281,9 @@ def model_from_snapshot(payload: dict) -> OnlineGp:
     version = payload.get("format_version")
     if version != SNAPSHOT_FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot format version {version!r}")
-    hyper = Hyperparameters(
-        signal_variance=payload["hyper"]["signal_variance"],
-        lengthscales=np.asarray(payload["hyper"]["lengthscales"]),
-        noise_variance=payload["hyper"]["noise_variance"],
-    )
     return OnlineGp(
         dataset=Dataset(np.asarray(payload["inputs"]), np.asarray(payload["targets"])),
-        hyper=hyper,
+        hyper=Hyperparameters.from_dict(payload["hyper"]),
         budget=payload["budget"],
         criterion=CriterionKind(payload["criterion"]),
         var_threshold=payload["var_threshold"],

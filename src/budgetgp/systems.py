@@ -196,7 +196,7 @@ def _bouc_wen_rhs(p):
     def rhs(s, u):
         y, v, z = s
         dz = p["alpha"] * v - p["beta"] * (
-            p["gamma"] * abs(v) * abs(z) ** (p["nu"] - 1.0) * z
+            p["gamma"] * abs(v) * math.copysign(abs(z) ** p["nu"], z)
             + p["delta"] * v * abs(z) ** p["nu"]
         )
         dv = (u[0] - p["k_L"] * y - p["c_L"] * v - z) / p["m_L"]

@@ -165,16 +165,6 @@ class TestPredict:
         npt.assert_allclose(mean, mean_o, rtol=1e-8, atol=1e-12)
         npt.assert_allclose(var, var_o, rtol=1e-8, atol=1e-12)
 
-    def test_full_covariance_matches_oracle(self, rng):
-        d, h = random_instance(rng, 10, 2)
-        cache = fit_cache(d, h)
-        Xs = rng.uniform(-2, 2, size=(3, 2))
-        _, cov = predict(cache, d, h, Xs, full_cov=True)
-        Kinv = np.linalg.inv(naive_noisy_kernel(d.inputs, h))
-        Ks = naive_kernel(Xs, d.inputs, h)
-        cov_o = naive_kernel(Xs, Xs, h) - Ks @ Kinv @ Ks.T
-        npt.assert_allclose(cov, cov_o, rtol=1e-8, atol=1e-12)
-
     def test_variance_bounds(self, rng):
         for _ in range(5):
             d, h = random_instance(rng, 20, 2)

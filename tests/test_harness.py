@@ -374,6 +374,12 @@ class TestBench:
             assert small.repeats == 1000
 
 
+# A small online-eval run; a case appends the flag it makes malformed.
+_SMALL_RUN = ["--benchmark", "rastrigin", "--initial-train", "10", "--stream-size", "5",
+              "--eval-size", "40", "--criterion", "mll", "--train-restarts", "0"]
+_ONLINE = ["online-eval", *_SMALL_RUN, "--err-threshold", "1.0"]
+
+
 class TestCli:
     def test_exit_zero_and_output(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -410,6 +416,35 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args, prefix", [
+        (_ONLINE + ["--eval-size", "0"], "eval_size:"),
+        (_ONLINE + ["--eval-size", "1"], "eval_size:"),
+        (["online-eval", *_SMALL_RUN, "--var-threshold", "nan"], "var_threshold:"),
+        (_ONLINE + ["--stream-size", "-3"], "stream_size:"),
+        (["threshold-sweep", *_SMALL_RUN, "--thresholds=-1"], "thresholds_grid:"),
+        (_ONLINE + ["--hyper-file", "{tmp}/missing.json"], "hyper_file:"),
+        (_ONLINE + ["--hyper-file", "{tmp}/no_lengthscales.json"], "hyper_file:"),
+        (_ONLINE + ["--hyper-file", "{tmp}/four_inputs.json"], "hyper_file:"),
+        (_ONLINE + ["--config", "{tmp}/text_budget.json"], "budget:"),
+        (_ONLINE + ["--config", "{tmp}/text_seeds.json"], "config file"),
+        (["bench", "--repeats", "0"], "bench_repeats:"),
+    ], ids=["eval-size-0", "eval-size-1", "nan-var-threshold", "negative-stream-size",
+            "negative-threshold", "missing-hyper-file", "hyper-record-without-lengthscales",
+            "hyper-file-of-other-dimension", "text-budget-in-config", "text-seeds-in-config",
+            "zero-repeats"])
+    def test_exit_two_on_malformed_config(self, tmp_path, capsys, args, prefix):
+        record = {"signal_variance": 1.0, "lengthscales": [1.0] * 4, "noise_variance": 0.1}
+        for name, entry in (("four_inputs", record),
+                            ("no_lengthscales", {"signal_variance": 1.0, "noise_variance": 0.1})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"format_version": 1, "benchmark": "tanks", "per_seed": {"0": entry}}))
+        (tmp_path / "text_budget.json").write_text('{"budget": "abc"}')
+        (tmp_path / "text_seeds.json").write_text('{"seeds": "abc"}')
+        assert main([a.format(tmp=tmp_path) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {prefix}")
         assert len(err.splitlines()) == 1
 
     def test_exit_three_on_numerical_failure(self, monkeypatch, capsys):

@@ -544,6 +544,13 @@ class TestInvariants:
         with pytest.raises(ValueError):
             OnlineGp(dataset=d, hyper=h, budget=5)
 
+    @pytest.mark.parametrize("field", ["var_threshold", "err_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_threshold_rejected(self, rng, field, value):
+        d, h = random_instance(rng, 4, 2)
+        with pytest.raises(ValueError, match=field):
+            OnlineGp(dataset=d, hyper=h, budget=5, **{field: value})
+
     def test_j_min_tracks_score_cache(self, rng):
         model = make_model(rng, n=6, budget=6, use_acceptance=True)
         for point in random_stream(rng, 2, 6):

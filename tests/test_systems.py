@@ -145,6 +145,13 @@ class TestSimulate:
             simulate("bouc-wen", config, input_signal=lambda t: 0.0)
         assert err.value.step_index == 0
 
+    @pytest.mark.parametrize("nu", [0.5, 0.8])
+    def test_bouc_wen_starts_from_rest_with_nu_below_one(self, nu):
+        config = SimConfig(dt=1e-3, horizon=0.1, seed=0, params={"nu": nu})
+        _, _, y = simulate("bouc-wen", config,
+                           input_signal=lambda t: 40.0 * math.sin(60.0 * t))
+        assert np.all(np.isfinite(y)) and np.any(y != 0.0)
+
     def test_van_der_pol_rejects_input_signal(self):
         with pytest.raises(ValueError, match="van-der-pol"):
             simulate("van-der-pol", SimConfig(dt=0.1, horizon=1.0),
