@@ -14,12 +14,14 @@ The set covers ``generate`` for a function and for every simulated system,
 ``generate`` and ``online-eval`` on the csv benchmark fed the generated
 van-der-pol file, ``train``, ``reduce-sweep --verify`` to CSV and to JSON,
 ``accept-eval`` with and without ``--maps``, ``online-eval`` with each
-insertion gate, with and without ``--accept``, and ``threshold-sweep``.
-Each command's stdout is kept as ``<name>.stdout``; each command's wall
-time goes to stderr.  OUT_DIR is emptied first.
+insertion gate and once from a config file (``online_cfg.json``, written
+first) with a flag on top, and ``threshold-sweep``.  Each command's stdout
+is kept as ``<name>.stdout``; each command's wall time goes to stderr.
+OUT_DIR is emptied first.
 """
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -53,17 +55,19 @@ COMMANDS = (
     ("accept-bouc-wen", "accept-eval --benchmark bouc-wen --criterion predictive-entropy,lpd"
                         " --out {out}/accept_bouc_wen.csv"),
     ("online-vdp-var", "online-eval --benchmark van-der-pol --hyper-file {out}/vdp_hyper.json"
-                       " --var-threshold 1e-5 --accept --out {out}/online_vdp_var.csv"),
+                       " --var-threshold 1e-5 --out {out}/online_vdp_var.csv"),
     ("online-vdp-err", "online-eval --benchmark van-der-pol --hyper-file {out}/vdp_hyper.json"
                        " --err-threshold 0.005 --out {out}/online_vdp_err.csv"),
     ("online-building-err", "online-eval --benchmark building --stream-size 2000"
                             " --criterion mll --train-restarts 0 --err-threshold 0.8"
-                            " --accept --out {out}/online_building.csv"),
+                            " --out {out}/online_building.csv"),
     ("online-csv-err", "online-eval --benchmark csv --data-file {out}/vdp.csv --target-column y"
-                       " --criterion mean-relevance,lpd --err-threshold 0.005 --accept"
+                       " --criterion mean-relevance,lpd --err-threshold 0.005"
                        " --out {out}/online_csv.csv"),
+    ("online-cfg-err", "online-eval --config {out}/online_cfg.json --err-threshold 0.005"
+                       " --out {out}/online_cfg.csv"),
     ("threshold-rastrigin", "threshold-sweep --benchmark rastrigin --thresholds 0.5,2.0"
-                            " --accept --out {out}/threshold_rastrigin.json"),
+                            " --out {out}/threshold_rastrigin.json"),
 )
 
 
@@ -73,6 +77,10 @@ def main(argv):
     out = Path(argv[1]).resolve()
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
+    (out / "online_cfg.json").write_text(json.dumps({
+        "benchmark": "van-der-pol", "criteria": ["mean-relevance", "lpd"],
+        "hyper_file": str(out / "vdp_hyper.json"),
+    }, indent=2) + "\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     for name, args in COMMANDS:

@@ -2,8 +2,10 @@
 
 Subcommands: generate, train, reduce-sweep, accept-eval, online-eval,
 threshold-sweep, bench.  Configuration comes from an optional JSON config
-file plus kebab-case flag overrides.  Exit codes: 0 on success, 2 on
-configuration or data-file errors, 3 on numerical failures.
+file plus kebab-case flag overrides; each subcommand takes only the flags
+it reads.  Exit codes: 0 on success, 2 on configuration or data-file
+errors and on a flag the subcommand does not take, 3 on numerical
+failures.
 """
 
 from __future__ import annotations
@@ -50,6 +52,52 @@ def _comma_floats(text: str) -> tuple:
     return tuple(float(part) for part in _comma_list(text))
 
 
+# Flag definitions; each command takes ``--config``, its row of
+# ``_COMMAND_FLAGS`` and ``--out``, and argparse rejects any other flag.
+_FLAGS = {
+    "--benchmark": dict(help="benchmark id (e.g. rastrigin, van-der-pol, csv)"),
+    "--criterion": dict(type=_comma_list, dest="criteria",
+                        help="comma list of criteria (prior-entropy, predictive-entropy, "
+                             "mean-relevance, mll, lpd)"),
+    "--budget": dict(type=int, help="datapoint budget N_max"),
+    "--var-threshold": dict(type=float, help="variance insertion threshold"),
+    "--err-threshold": dict(type=float, help="error insertion threshold"),
+    "--seeds": dict(type=_comma_ints, help="comma list of seeds"),
+    "--initial-train": dict(type=int, help="initial training sample size"),
+    "--stream-size": dict(type=int, help="streamed point count override"),
+    "--eval-size": dict(type=int, help="evaluation set size"),
+    "--data-file": dict(help="CSV path for the csv benchmark"),
+    "--target-column": dict(help="target column for the csv benchmark"),
+    "--hyper-file": dict(help="persisted hyperparameter file to reuse"),
+    "--train-restarts": dict(type=int, help="extra optimizer restarts"),
+    "--train-iters": dict(type=int, dest="train_max_iters", help="optimizer iteration cap"),
+    "--thresholds": dict(type=_comma_floats, dest="thresholds_grid",
+                         help="comma list of error thresholds for threshold-sweep"),
+    "--reduce-min-size": dict(type=int, help="stop size for reduce-sweep"),
+    "--repeats": dict(type=int, dest="bench_repeats", help="timing repetitions for bench"),
+    "--mr-reference": dict(choices=("model", "target"),
+                           help="mean-relevance reference: model mean or stored target"),
+    "--maps": dict(action="store_true", default=None,
+                   help="emit spatial selection map CSVs (2-D function benchmarks)"),
+    "--verify": dict(action="store_true", default=None,
+                     help="enable the shadow-oracle verification in reduce-sweep"),
+}
+
+_DATA_FLAGS = ("--benchmark", "--seeds", "--initial-train", "--stream-size", "--eval-size",
+               "--data-file", "--target-column")
+_MODEL_FLAGS = _DATA_FLAGS + ("--criterion", "--budget", "--hyper-file", "--train-restarts",
+                              "--train-iters")
+_COMMAND_FLAGS = {
+    "generate": _DATA_FLAGS,
+    "train": _DATA_FLAGS + ("--train-restarts", "--train-iters"),
+    "reduce-sweep": _MODEL_FLAGS + ("--reduce-min-size", "--mr-reference", "--verify"),
+    "accept-eval": _MODEL_FLAGS + ("--maps",),
+    "online-eval": _MODEL_FLAGS + ("--var-threshold", "--err-threshold"),
+    "threshold-sweep": _MODEL_FLAGS + ("--thresholds",),
+    "bench": ("--seeds", "--budget", "--repeats"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="budgetgp",
@@ -59,36 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--benchmark", help="benchmark id (e.g. rastrigin, van-der-pol, csv)")
-        p.add_argument("--criterion", type=_comma_list, dest="criteria",
-                       help="comma list of criteria (prior-entropy, predictive-entropy, "
-                            "mean-relevance, mll, lpd)")
-        p.add_argument("--budget", type=int, help="datapoint budget N_max")
-        p.add_argument("--var-threshold", type=float, help="variance insertion threshold")
-        p.add_argument("--err-threshold", type=float, help="error insertion threshold")
-        p.add_argument("--accept", action="store_true", dest="use_acceptance",
-                       default=None, help="enable the acceptance criterion")
-        p.add_argument("--seeds", type=_comma_ints, help="comma list of seeds")
-        p.add_argument("--initial-train", type=int, help="initial training sample size")
-        p.add_argument("--stream-size", type=int, help="streamed point count override")
-        p.add_argument("--eval-size", type=int, help="evaluation set size")
-        p.add_argument("--data-file", help="CSV path for the csv benchmark")
-        p.add_argument("--target-column", help="target column for the csv benchmark")
-        p.add_argument("--hyper-file", help="persisted hyperparameter file to reuse")
-        p.add_argument("--train-restarts", type=int, help="extra optimizer restarts")
-        p.add_argument("--train-iters", type=int, dest="train_max_iters",
-                       help="optimizer iteration cap")
-        p.add_argument("--thresholds", type=_comma_floats, dest="thresholds_grid",
-                       help="comma list of error thresholds for threshold-sweep")
-        p.add_argument("--reduce-min-size", type=int, help="stop size for reduce-sweep")
-        p.add_argument("--repeats", type=int, dest="bench_repeats",
-                       help="timing repetitions for bench")
-        p.add_argument("--mr-reference", choices=("model", "target"),
-                       help="mean-relevance reference: model mean or stored target")
-        p.add_argument("--maps", action="store_true", default=None,
-                       help="emit spatial selection map CSVs (2-D function benchmarks)")
-        p.add_argument("--verify", action="store_true", default=None,
-                       help="enable the shadow-oracle verification in reduce-sweep")
+        for flag in _COMMAND_FLAGS[name]:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", help="output path for results (.csv or .json)")
     return parser
 

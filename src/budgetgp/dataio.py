@@ -11,7 +11,8 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, fields
+import logging
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from .gp import Dataset
 __all__ = [
     "IngestionError",
     "NormalizationError",
-    "TabularDataset",
     "NormalizationStats",
     "ResultRecord",
     "load_csv_dataset",
@@ -33,8 +33,10 @@ __all__ = [
     "sha256_of_file",
 ]
 
+logger = logging.getLogger(__name__)
+
 # Cell contents treated as a missing value; rows containing one are dropped
-# (and counted) rather than rejected with an error.
+# (with a warning giving the count) rather than rejected with an error.
 _MISSING = {"", "na", "nan", "null"}
 
 
@@ -47,60 +49,25 @@ class NormalizationError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class TabularDataset:
-    """A named numeric table split into features and one target column.
-
-    ``provenance`` records where the data came from (path, checksum, how
-    many rows were dropped for missing values, normalization source).
-    """
-
-    feature_names: tuple
-    rows: np.ndarray
-    target_name: str
-    targets: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
-        if rows.shape[0] != targets.shape[0]:
-            raise ValueError("rows and targets disagree on length")
-        if rows.size and not np.all(np.isfinite(rows)):
-            raise ValueError("non-finite feature entries after ingestion")
-        if targets.size and not np.all(np.isfinite(targets)):
-            raise ValueError("non-finite target entries after ingestion")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    def to_dataset(self) -> Dataset:
-        return Dataset(self.rows, self.targets)
-
-
-@dataclass(frozen=True, eq=False)
 class NormalizationStats:
     """Feature z-scoring statistics plus the target mean, fitted on a
-    training split only (``source`` records which one)."""
+    training split only."""
 
     feature_means: np.ndarray
     feature_stds: np.ndarray
     target_mean: float
-    source: str = ""
 
 
 def sha256_of_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def load_csv_dataset(path, target_column: str) -> TabularDataset:
-    """Parse a headed CSV into features and the named target column.
+def load_csv_dataset(path, target_column: str) -> tuple[tuple, Dataset]:
+    """Parse a headed CSV into its feature names and a :class:`Dataset` of
+    the feature columns and the named target column.
 
-    Rows containing missing or non-finite cells are dropped and counted in
-    the provenance; any other unparsable cell raises
+    Rows containing missing or non-finite cells are dropped, with one
+    warning giving their count; any other unparsable cell raises
     :class:`IngestionError` naming the row and column.
     """
     path = Path(path)
@@ -116,7 +83,7 @@ def load_csv_dataset(path, target_column: str) -> TabularDataset:
         if target_column not in header:
             raise IngestionError(f"{path}: missing target column {target_column!r}")
         t_idx = header.index(target_column)
-        feature_names = [h for j, h in enumerate(header) if j != t_idx]
+        feature_names = tuple(h for j, h in enumerate(header) if j != t_idx)
 
         rows, targets = [], []
         rejected = 0
@@ -148,57 +115,37 @@ def load_csv_dataset(path, target_column: str) -> TabularDataset:
             targets.append(values.pop(t_idx))
             rows.append(values)
 
+    if rejected:
+        logger.warning("%s: dropped %d row(s) with missing or non-finite cells", path, rejected)
     if not rows:
         raise IngestionError(f"{path}: no usable data rows")
-    return TabularDataset(
-        feature_names=tuple(feature_names),
-        rows=np.asarray(rows),
-        target_name=target_column,
-        targets=np.asarray(targets),
-        provenance={
-            "path": str(path),
-            "sha256": sha256_of_file(path),
-            "rows_rejected": rejected,
-        },
-    )
+    return feature_names, Dataset(np.asarray(rows), np.asarray(targets))
 
 
-def normalize_fit(train: TabularDataset) -> NormalizationStats:
+def normalize_fit(train: Dataset, feature_names) -> NormalizationStats:
     """Fit z-scoring statistics on a training split; constant columns are an
-    error since they cannot be scaled."""
+    error, naming the column, since they cannot be scaled."""
     if train.n == 0:
         raise NormalizationError("cannot fit statistics on an empty table")
-    means = train.rows.mean(axis=0)
-    stds = train.rows.std(axis=0)
+    means = train.inputs.mean(axis=0)
+    stds = train.inputs.std(axis=0)
     flat = np.flatnonzero(stds <= 0.0)
     if flat.size:
-        names = ", ".join(train.feature_names[j] for j in flat)
+        names = ", ".join(feature_names[j] for j in flat)
         raise NormalizationError(f"constant feature column(s): {names}")
-    return NormalizationStats(
-        feature_means=means,
-        feature_stds=stds,
-        target_mean=float(train.targets.mean()),
-        source=train.provenance.get("path", "training split"),
-    )
+    return NormalizationStats(means, stds, float(train.targets.mean()))
 
 
-def normalize_apply(stats: NormalizationStats, data: TabularDataset) -> TabularDataset:
+def normalize_apply(stats: NormalizationStats, data: Dataset) -> Dataset:
     """Z-score features and demean the target with previously fitted stats;
     never re-fits on the data it is applied to."""
-    if data.rows.shape[1] != stats.feature_means.shape[0]:
+    if data.dim != stats.feature_means.shape[0]:
         raise NormalizationError(
             f"statistics cover {stats.feature_means.shape[0]} features, "
-            f"data has {data.rows.shape[1]}"
+            f"data has {data.dim}"
         )
-    provenance = dict(data.provenance)
-    provenance["normalized_with"] = stats.source
-    return TabularDataset(
-        feature_names=data.feature_names,
-        rows=(data.rows - stats.feature_means) / stats.feature_stds,
-        target_name=data.target_name,
-        targets=data.targets - stats.target_mean,
-        provenance=provenance,
-    )
+    return Dataset((data.inputs - stats.feature_means) / stats.feature_stds,
+                   data.targets - stats.target_mean)
 
 
 def smse(predictions, targets) -> float:

@@ -26,7 +26,6 @@ from .criteria import (CriterionKind, PartitionView, argmin_with_ties, reduction
                        reduction_scores, tie_tolerance)
 from .dataio import (
     ResultRecord,
-    TabularDataset,
     load_csv_dataset,
     normalize_apply,
     normalize_fit,
@@ -84,17 +83,14 @@ class ConfigError(ValueError):
 FUNCTION_BENCHMARKS = tuple(sorted(BENCHMARK_BOUNDS))
 SYSTEM_BENCHMARKS = ("bouc-wen", "tanks", "van-der-pol", "building")
 
-# Streamed-point counts per benchmark (dataset size minus the initial
-# training sample); used when the config does not override stream_size.
+# Streamed-point counts of the function benchmarks, sampled on top of the
+# initial training sample when the config does not set stream_size; the
+# systems stream every row after the initial sample.
 DEFAULT_STREAM_SIZES = {
     "himmelblau": 500,
     "rastrigin": 500,
     "rosenbrock": 500,
     "six-hump-camel": 500,
-    "van-der-pol": 900,
-    "bouc-wen": 897,
-    "tanks": 922,
-    "building": 17418,
 }
 
 # Operation-count models of one per-partition evaluation per criterion,
@@ -110,6 +106,15 @@ COMPLEXITY_MODEL = {
 
 _EVAL_SEED_OFFSET = 90001
 _DEFAULT_CRITERIA = ("prior-entropy", "mean-relevance", "mll")
+
+
+# Each list field of ExperimentConfig: the type of its entries, their conversion.
+_LIST_FIELDS = {
+    "criteria": (str, str),
+    "seeds": (numbers.Integral, int),
+    "thresholds_grid": (numbers.Real, float),
+    "bench_sizes": (numbers.Integral, int),
+}
 
 
 @dataclass
@@ -141,10 +146,16 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        self.criteria = tuple(self.criteria)
-        self.seeds = tuple(int(s) for s in self.seeds)
-        if self.thresholds_grid is not None:
-            self.thresholds_grid = tuple(float(t) for t in self.thresholds_grid)
+        # Check before converting: a config file can set any JSON value, and
+        # seeds "12" would become seeds 1 and 2, seeds [1.7] seed 1.
+        for name, (kind, convert) in _LIST_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name == "thresholds_grid":
+                continue
+            if not isinstance(value, (list, tuple)) or not all(
+                    isinstance(v, kind) and not isinstance(v, bool) for v in value):
+                raise ConfigError(f"{name}: must be a list of {convert.__name__}")
+            setattr(self, name, tuple(convert(v) for v in value))
 
     def criterion_kinds(self) -> list:
         try:
@@ -153,13 +164,16 @@ class ExperimentConfig:
             raise ConfigError(f"criteria: {exc}") from None
 
     def _field_problems(self) -> list:
-        """Numeric fields that are not numbers of their annotated type (a
+        """Numeric and bool fields that are not of their annotated type (a
         config file can set any JSON value) or are out of range."""
         problems = []
-        number = {"int": numbers.Integral, "float": numbers.Real}
+        kinds = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
         for f in dataclasses.fields(self):
-            value, kind = getattr(self, f.name), number.get(f.type.removesuffix(" | None"))
-            if kind and not (isinstance(value, kind) or value is None and "None" in f.type):
+            value, kind = getattr(self, f.name), kinds.get(f.type.removesuffix(" | None"))
+            if kind is None or value is None and "None" in f.type:
+                continue
+            # A bool is an int to isinstance, but no number field takes one.
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
                 problems.append(f"{f.name}: must be {f.type}")
         if problems:
             return problems
@@ -172,6 +186,8 @@ class ExperimentConfig:
                 problems.append(f"{name}: must be finite and >= {low}")
         if not all(math.isfinite(t) and t >= 0 for t in self.thresholds_grid or ()):
             problems.append("thresholds_grid: must be finite and >= 0")
+        if not all(n >= 1 for n in self.bench_sizes):
+            problems.append("bench_sizes: must be >= 1")
         return problems
 
     def validate(self) -> None:
@@ -246,15 +262,9 @@ def _split(train: Dataset, val: Dataset, names, config, normalize: bool,
     streamed or validation data."""
     initial_rows = min(config.initial_train, train.n)
     if normalize:
-        head = TabularDataset(names, train.inputs[:initial_rows], "y",
-                              train.targets[:initial_rows], {"path": "initial"})
-        stats = normalize_fit(head)
-
-        def apply(d: Dataset) -> Dataset:
-            t = TabularDataset(names, d.inputs, "y", d.targets)
-            return normalize_apply(stats, t).to_dataset()
-
-        train, val = apply(train), apply(val)
+        head = Dataset(train.inputs[:initial_rows], train.targets[:initial_rows])
+        stats = normalize_fit(head, names)
+        train, val = normalize_apply(stats, train), normalize_apply(stats, val)
     end = train.n
     if config.stream_size is not None:
         end = min(initial_rows + config.stream_size, end)
@@ -286,13 +296,12 @@ def resolve_benchmark(config: ExperimentConfig, seed: int) -> BenchmarkData:
         return _split(train, val, _lag_feature_names(b), config, normalize=True)
 
     if b == "csv":
-        table = load_csv_dataset(config.data_file, config.target_column)
-        n = table.n
-        eval_n = min(config.eval_size, max(2, n // 10))
-        train = Dataset(table.rows[: n - eval_n], table.targets[: n - eval_n])
-        val = Dataset(table.rows[n - eval_n:], table.targets[n - eval_n:])
-        return _split(train, val, table.feature_names, config, normalize=True,
-                      target_name=table.target_name)
+        names, table = load_csv_dataset(config.data_file, config.target_column)
+        cut = table.n - min(config.eval_size, max(2, table.n // 10))
+        train = Dataset(table.inputs[:cut], table.targets[:cut])
+        val = Dataset(table.inputs[cut:], table.targets[cut:])
+        return _split(train, val, names, config, normalize=True,
+                      target_name=config.target_column)
 
     raise ConfigError(f"benchmark: unknown {b!r}")
 

@@ -19,10 +19,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +107,8 @@ class OnlineGp:
     j_min: float | None = field(init=False, default=None)
 
     def __post_init__(self):
+        if isinstance(self.budget, bool) or not isinstance(self.budget, numbers.Integral):
+            raise ValueError(f"budget must be an integer, not {self.budget!r}")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.dataset.n > self.budget:
@@ -113,7 +117,8 @@ class OnlineGp:
             )
         for name in ("var_threshold", "err_threshold"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0):
+            if value is not None and not (
+                    isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, or disabled")
         self._recache(self.dataset)
 
@@ -278,17 +283,27 @@ def snapshot_dict(model: OnlineGp) -> dict:
 
 
 def model_from_snapshot(payload: dict) -> OnlineGp:
-    version = payload.get("format_version")
+    """The model a :func:`snapshot_dict` record describes.  A missing or
+    malformed field raises ``ValueError`` naming it."""
+    version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != SNAPSHOT_FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot format version {version!r}")
+
+    def entry(name, read=lambda value: value):
+        try:
+            return read(payload[name])
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValueError(f"snapshot field {name!r}: {type(exc).__name__}: {exc}") from None
+
+    floats = partial(np.asarray, dtype=float)
     return OnlineGp(
-        dataset=Dataset(np.asarray(payload["inputs"]), np.asarray(payload["targets"])),
-        hyper=Hyperparameters.from_dict(payload["hyper"]),
-        budget=payload["budget"],
-        criterion=CriterionKind(payload["criterion"]),
-        var_threshold=payload["var_threshold"],
-        err_threshold=payload["err_threshold"],
-        use_acceptance=payload["use_acceptance"],
+        dataset=Dataset(entry("inputs", floats), entry("targets", floats)),
+        hyper=entry("hyper", Hyperparameters.from_dict),
+        budget=entry("budget"),
+        criterion=entry("criterion", CriterionKind),
+        var_threshold=entry("var_threshold"),
+        err_threshold=entry("err_threshold"),
+        use_acceptance=entry("use_acceptance"),
     )
 
 
@@ -310,4 +325,11 @@ def save_snapshot(model: OnlineGp, path) -> None:
 
 
 def load_snapshot(path) -> OnlineGp:
-    return model_from_snapshot(json.loads(Path(path).read_text()))
+    """The model :func:`save_snapshot` wrote to ``path``.  A file that is
+    not JSON, an unknown format version and a missing or malformed field
+    each raise ``ValueError``; the message names the file or the field."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON snapshot: {exc}") from None
+    return model_from_snapshot(payload)

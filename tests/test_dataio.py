@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,6 @@ from budgetgp.dataio import (
     IngestionError,
     NormalizationError,
     ResultRecord,
-    TabularDataset,
     load_csv_dataset,
     normalize_apply,
     normalize_fit,
@@ -16,6 +17,7 @@ from budgetgp.dataio import (
     smse,
     write_results,
 )
+from budgetgp.gp import Dataset
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -25,25 +27,28 @@ def write_csv(tmp_path, text, name="data.csv"):
 
 
 class TestLoadCsv:
-    def test_small_table(self, tmp_path):
+    def test_small_table(self, tmp_path, caplog):
         path = write_csv(tmp_path, "a,b,target\n1,2,3\n4,5,6\n7,8,9\n")
-        t = load_csv_dataset(path, "target")
-        assert t.feature_names == ("a", "b")
-        npt.assert_array_equal(t.rows, [[1, 2], [4, 5], [7, 8]])
+        with caplog.at_level(logging.WARNING, logger="budgetgp.dataio"):
+            names, t = load_csv_dataset(path, "target")
+        assert names == ("a", "b")
+        npt.assert_array_equal(t.inputs, [[1, 2], [4, 5], [7, 8]])
         npt.assert_array_equal(t.targets, [3, 6, 9])
-        assert t.provenance["rows_rejected"] == 0
-        assert len(t.provenance["sha256"]) == 64
+        assert not caplog.records  # no row dropped
 
     def test_non_numeric_cell_names_location(self, tmp_path):
         path = write_csv(tmp_path, "a,b,target\n1,2,3\n4,oops,6\n")
         with pytest.raises(IngestionError, match=r"row 3, column 'b'"):
             load_csv_dataset(path, "target")
 
-    def test_missing_values_dropped_and_counted(self, tmp_path):
+    def test_missing_values_dropped_and_counted(self, tmp_path, caplog):
         path = write_csv(tmp_path, "a,target\n1,2\n,3\n4,nan\n5,6\n")
-        t = load_csv_dataset(path, "target")
+        with caplog.at_level(logging.WARNING, logger="budgetgp.dataio"):
+            _, t = load_csv_dataset(path, "target")
         assert t.n == 2
-        assert t.provenance["rows_rejected"] == 2
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "dropped 2 row(s)" in record.getMessage()
 
     def test_missing_target_column(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,2\n")
@@ -65,65 +70,65 @@ class TestLoadCsv:
             ",".join(f"{v:.4f}" for v in rng.normal(size=14)) for _ in range(506)
         )
         path = write_csv(tmp_path, header + "\n" + rows + "\n")
-        t = load_csv_dataset(path, "medv")
-        assert t.rows.shape == (506, 13)
+        names, t = load_csv_dataset(path, "medv")
+        assert len(names) == 13
+        assert t.inputs.shape == (506, 13)
         assert t.targets.shape == (506,)
 
     def test_order_preserving(self, tmp_path):
         path = write_csv(tmp_path, "a,target\n9,1\n8,2\n7,3\n")
-        t = load_csv_dataset(path, "target")
-        npt.assert_array_equal(t.rows[:, 0], [9, 8, 7])
+        _, t = load_csv_dataset(path, "target")
+        npt.assert_array_equal(t.inputs[:, 0], [9, 8, 7])
+
+
+NAMES = ("x0", "x1", "x2")
 
 
 def table(rng, n=20, p=3):
-    return TabularDataset(
-        feature_names=tuple(f"x{i}" for i in range(p)),
-        rows=rng.normal(size=(n, p)) * rng.uniform(0.5, 4, size=p) + rng.normal(size=p),
-        target_name="y",
-        targets=rng.normal(size=n) + 5.0,
-        provenance={"path": "train"},
+    return Dataset(
+        rng.normal(size=(n, p)) * rng.uniform(0.5, 4, size=p) + rng.normal(size=p),
+        rng.normal(size=n) + 5.0,
     )
 
 
 class TestNormalization:
     def test_training_set_becomes_standard(self, rng):
         train = table(rng)
-        stats = normalize_fit(train)
+        stats = normalize_fit(train, NAMES)
         normed = normalize_apply(stats, train)
-        npt.assert_allclose(normed.rows.mean(axis=0), 0.0, atol=1e-10)
-        npt.assert_allclose(normed.rows.std(axis=0), 1.0, atol=1e-10)
+        npt.assert_allclose(normed.inputs.mean(axis=0), 0.0, atol=1e-10)
+        npt.assert_allclose(normed.inputs.std(axis=0), 1.0, atol=1e-10)
         assert abs(normed.targets.mean()) < 1e-10
 
     def test_single_row_apply(self, rng):
         train = table(rng)
-        stats = normalize_fit(train)
-        row = TabularDataset(train.feature_names, train.rows[:1], "y", train.targets[:1])
+        stats = normalize_fit(train, NAMES)
+        row = Dataset(train.inputs[:1], train.targets[:1])
         normed = normalize_apply(stats, row)
-        expected = (train.rows[0] - stats.feature_means) / stats.feature_stds
-        npt.assert_allclose(normed.rows[0], expected)
+        expected = (train.inputs[0] - stats.feature_means) / stats.feature_stds
+        npt.assert_allclose(normed.inputs[0], expected)
 
     def test_round_trip_recovers_originals(self, rng):
         train = table(rng)
-        stats = normalize_fit(train)
+        stats = normalize_fit(train, NAMES)
         normed = normalize_apply(stats, train)
-        back = normed.rows * stats.feature_stds + stats.feature_means
-        npt.assert_allclose(back, train.rows, rtol=1e-12)
+        back = normed.inputs * stats.feature_stds + stats.feature_means
+        npt.assert_allclose(back, train.inputs, rtol=1e-12)
         npt.assert_allclose(normed.targets + stats.target_mean, train.targets, rtol=1e-12)
 
     def test_constant_column_named(self, rng):
         t = table(rng)
-        rows = t.rows.copy()
+        rows = t.inputs.copy()
         rows[:, 1] = 7.7
-        bad = TabularDataset(t.feature_names, rows, "y", t.targets)
+        bad = Dataset(rows, t.targets)
         with pytest.raises(NormalizationError, match="x1"):
-            normalize_fit(bad)
+            normalize_fit(bad, NAMES)
 
     def test_apply_never_refits(self, rng):
         train, other = table(rng), table(rng, n=30)
-        stats = normalize_fit(train)
+        stats = normalize_fit(train, NAMES)
         normed = normalize_apply(stats, other)
-        assert abs(normed.rows.mean()) > 1e-3  # stats came from train, not other
-        assert normed.provenance["normalized_with"] == "train"
+        assert abs(normed.inputs.mean()) > 1e-3  # stats came from train, not other
 
 
 class TestSmse:

@@ -142,9 +142,9 @@ class TestGenerate:
         from budgetgp.dataio import load_csv_dataset
 
         cmd_generate(tiny_config(out=str(tmp_path / "g.csv")))
-        table = load_csv_dataset(tmp_path / "g.csv", "y")
+        names, table = load_csv_dataset(tmp_path / "g.csv", "y")
         assert table.n == 27
-        assert table.feature_names == ("x1", "x2")
+        assert names == ("x1", "x2")
 
     def test_csv_keeps_target_column_name(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -430,22 +430,62 @@ class TestCli:
         (_ONLINE + ["--config", "{tmp}/text_budget.json"], "budget:"),
         (_ONLINE + ["--config", "{tmp}/text_seeds.json"], "config file"),
         (["bench", "--repeats", "0"], "bench_repeats:"),
+        (_ONLINE + ["--config", "{tmp}/digit_seeds.json"],
+         "config file {tmp}/digit_seeds.json: seeds:"),
+        (_ONLINE + ["--config", "{tmp}/fractional_seed.json"],
+         "config file {tmp}/fractional_seed.json: seeds:"),
+        (["threshold-sweep", *_SMALL_RUN, "--config", "{tmp}/text_thresholds.json"],
+         "config file {tmp}/text_thresholds.json: thresholds_grid:"),
+        (["accept-eval", *_SMALL_RUN, "--config", "{tmp}/text_maps.json"], "maps:"),
+        (["reduce-sweep", *_SMALL_RUN, "--config", "{tmp}/text_verify.json"], "verify:"),
+        (_ONLINE + ["--config", "{tmp}/bool_budget.json"], "budget:"),
+        (["bench", "--config", "{tmp}/zero_bench_size.json"], "bench_sizes:"),
+        (["bench", "--config", "{tmp}/text_bench_sizes.json"],
+         "config file {tmp}/text_bench_sizes.json: bench_sizes:"),
     ], ids=["eval-size-0", "eval-size-1", "nan-var-threshold", "negative-stream-size",
             "negative-threshold", "missing-hyper-file", "hyper-record-without-lengthscales",
             "hyper-file-of-other-dimension", "text-budget-in-config", "text-seeds-in-config",
-            "zero-repeats"])
+            "zero-repeats", "digit-string-seeds", "fractional-seed", "text-thresholds",
+            "text-maps", "text-verify", "bool-budget", "zero-bench-size", "text-bench-sizes"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, args, prefix):
         record = {"signal_variance": 1.0, "lengthscales": [1.0] * 4, "noise_variance": 0.1}
         for name, entry in (("four_inputs", record),
                             ("no_lengthscales", {"signal_variance": 1.0, "noise_variance": 0.1})):
             (tmp_path / f"{name}.json").write_text(json.dumps(
                 {"format_version": 1, "benchmark": "tanks", "per_seed": {"0": entry}}))
-        (tmp_path / "text_budget.json").write_text('{"budget": "abc"}')
-        (tmp_path / "text_seeds.json").write_text('{"seeds": "abc"}')
+        configs = {
+            "text_budget": {"budget": "abc"}, "text_seeds": {"seeds": "abc"},
+            "digit_seeds": {"seeds": "12"}, "fractional_seed": {"seeds": [1.7]},
+            "text_thresholds": {"thresholds_grid": "05"}, "text_maps": {"maps": "false"},
+            "text_verify": {"verify": "no"}, "bool_budget": {"budget": True},
+            "zero_bench_size": {"bench_sizes": [0]}, "text_bench_sizes": {"bench_sizes": "20"},
+        }
+        for name, payload in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
         assert main([a.format(tmp=tmp_path) for a in args]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {prefix}")
+        assert err.startswith(f"config error: {prefix.format(tmp=tmp_path)}")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args, unread", [
+        (_ONLINE, ["--thresholds", "9,9"]),
+        (["threshold-sweep", *_SMALL_RUN], ["--var-threshold", "0.001"]),
+        (["accept-eval", *_SMALL_RUN], ["--err-threshold", "0.5"]),
+        (["train", "--benchmark", "rastrigin", "--initial-train", "10", "--train-restarts", "0",
+          "--out", "{tmp}/h.json"], ["--hyper-file", "{tmp}/h.json"]),
+        (["bench", "--repeats", "1"], ["--criterion", "mll"]),
+        (_ONLINE, ["--accept"]),
+    ], ids=["online-eval-thresholds", "threshold-sweep-var-threshold",
+            "accept-eval-err-threshold", "train-hyper-file", "bench-criterion",
+            "online-eval-accept"])
+    def test_exit_two_on_flag_the_command_does_not_take(self, tmp_path, capsys, args, unread):
+        # Each command takes only the flags it reads; argparse rejects the rest.
+        argv = [a.format(tmp=tmp_path) for a in args + unread]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        message = "unrecognized arguments: " + " ".join(argv[len(args):])
+        assert message in capsys.readouterr().err
 
     def test_exit_three_on_numerical_failure(self, monkeypatch, capsys):
         import budgetgp.cli as cli_mod

@@ -537,12 +537,42 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="format version"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda r: r.pop("budget"), "budget"),
+        (lambda r: r.pop("hyper"), "hyper"),
+        (lambda r: r.update(budget="10"), "budget"),
+        (lambda r: r.update(inputs=[[0.0, 1.0], [2.0]]), "inputs"),
+        (lambda r: r["hyper"].pop("lengthscales"), "hyper"),
+    ], ids=["missing-budget", "missing-hyper", "text-budget", "ragged-inputs",
+            "hyper-without-lengthscales"])
+    def test_malformed_field_named(self, rng, tmp_path, edit, field):
+        path = tmp_path / "model.json"
+        save_snapshot(make_model(rng, n=2, budget=4), path)
+        record = json.loads(path.read_text())
+        edit(record)
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=field):
+            load_snapshot(path)
+
+    def test_truncated_file_named(self, rng, tmp_path):
+        path = tmp_path / "model.json"
+        save_snapshot(make_model(rng, n=2, budget=4), path)
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(ValueError, match="model.json"):
+            load_snapshot(path)
+
 
 class TestInvariants:
     def test_oversized_initial_dataset_rejected(self, rng):
         d, h = random_instance(rng, 6, 2)
         with pytest.raises(ValueError):
             OnlineGp(dataset=d, hyper=h, budget=5)
+
+    @pytest.mark.parametrize("budget", [5.0, 2.5, True, "10"])
+    def test_non_integer_budget_rejected(self, rng, budget):
+        d, h = random_instance(rng, 1, 2)
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            OnlineGp(dataset=d, hyper=h, budget=budget)
 
     @pytest.mark.parametrize("field", ["var_threshold", "err_threshold"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
