@@ -9,7 +9,8 @@ sweep runs.
 
 :func:`reduction_score` refits one materialized partition, as the paper
 defines it, and is the reference for :func:`reduction_scores`, which the
-loops use: every partition from one factorization, O(N^3) per sweep.
+loops use: every partition from one cache, in O(N^2) from the kept factor
+for a replace-one sweep and from the stored set's own factor for deletion.
 
 Two pairs of criteria are exact duals and always pick the same point:
 prior entropy with predictive entropy (through the block-determinant
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .gp import (
     Dataset,
@@ -37,6 +38,7 @@ from .gp import (
     _lml_from_cache,
     fit_cache,
     gaussian_entropy,
+    kernel_matrix,
     log_marginal_likelihood,
     predict,
 )
@@ -197,11 +199,29 @@ def reduction_score(
     raise ValueError(f"unknown criterion {kind!r}")
 
 
-def _inverse_diagonal(chol: np.ndarray) -> np.ndarray:
-    """diag((L L^T)^-1) as the column sums of squares of L^-1; the triangular
-    inverse keeps low-noise kernels accurate where ``cho_solve(L, I)`` does not."""
-    inv = solve_triangular(chol, np.eye(chol.shape[0]), lower=True, check_finite=False)
-    return np.einsum("ij,ij->j", inv, inv)
+def _extended_cache(base: PosteriorCache, dataset: Dataset, scored: Dataset,
+                    hyper: Hyperparameters) -> PosteriorCache | None:
+    """The cache of ``scored``, the dataset plus one row, extended from the
+    dataset's cache ``base`` in O(N^2) with its jitter (the block update of
+    Seeger 2004); ``None`` when the new pivot c is not positive.  With
+    k = K(X, x*), l = L^-1 k, b = L^-T l and a* = (y* - k^T alpha) / c:
+    c = k** + s^2 - l^T l, the weights are [alpha - b a*, a*] and
+    d = [d + b^2 / c, 1 / c]."""
+    k = kernel_matrix(scored.inputs[-1:], dataset.inputs, hyper)[0]
+    l, info = dtrtrs(base.chol, k, lower=1)
+    b, info_t = dtrtrs(base.chol, l, lower=1, trans=1)
+    c = hyper.signal_variance + hyper.noise_variance + base.jitter - float(l @ l)
+    if info or info_t or not c > 0.0:
+        return None
+    a = (scored.targets[-1] - float(k @ base.alpha)) / c
+    chol = np.zeros((scored.n, scored.n), order="F")
+    chol[:-1, :-1] = base.chol
+    chol[-1] = np.append(l, math.sqrt(c))
+    cache = PosteriorCache(chol, np.append(base.alpha - b * a, a), scored.version, base.jitter)
+    # Set the lazily computed d to its O(N^2) update.
+    d = np.append(base.inverse_diagonal + b * b / c, 1.0 / c)
+    object.__setattr__(cache, "inverse_diagonal", d)
+    return cache
 
 
 def reduction_scores(
@@ -213,12 +233,13 @@ def reduction_scores(
     mean_reference: str = "model",
 ) -> np.ndarray:
     """The scores of all partitions, ``reduction_score`` of
-    ``PartitionView(dataset, i, candidate)`` for every row i, from one
-    factorization in O(N^3).
+    ``PartitionView(dataset, i, candidate)`` for every row i, from one cache.
 
     Replacing row i with the candidate leaves the set S minus row i, where S
     is the dataset plus the candidate (or the dataset itself in deletion
-    mode, whose cache ``base_cache`` supplies when given).  With
+    mode).  ``base_cache``, the dataset's own cache, serves as S's cache in
+    deletion mode and is extended to S in O(N^2) with a candidate; S is
+    factored in O(N^3) without it or when the extension fails.  With
     d_i = [K_S^-1]_ii and alpha the weights of S, the leave-one-out
     identities (Rasmussen & Williams 2006, 5.4.2) give row i's noisy
     predictive variance 1/d_i, its residual alpha_i/d_i and
@@ -235,8 +256,9 @@ def reduction_scores(
         cache = base_cache if base_cache is not None else fit_cache(dataset, hyper)
     else:
         scored = dataset.with_appended(candidate[0], float(candidate[1]))
-        cache = fit_cache(scored, hyper)
-    d = _inverse_diagonal(cache.chol)[: dataset.n]
+        cache = base_cache and _extended_cache(base_cache, dataset, scored, hyper)
+        cache = cache or fit_cache(scored, hyper)
+    d = cache.inverse_diagonal[: dataset.n]
     noisy_var = 1.0 / d
     residual = cache.alpha[: dataset.n] * noisy_var
 
@@ -319,7 +341,7 @@ def acceptance_scores(
     if cache.dataset_version != dataset.version:
         raise StaleCacheError("cache was fitted on a different dataset")
     s2 = hyper.noise_variance + cache.jitter
-    var = _clamp_variance(s2 * (1.0 - s2 * _inverse_diagonal(cache.chol)))
+    var = _clamp_variance(s2 * (1.0 - s2 * cache.inverse_diagonal))
     return _paired_scores(kind, var, s2 * cache.alpha, hyper)
 
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 from scipy.optimize import minimize
 
 __all__ = [
@@ -217,6 +218,15 @@ class PosteriorCache:
     alpha: np.ndarray
     dataset_version: int
     jitter: float = 0.0
+
+    @cached_property
+    def inverse_diagonal(self) -> np.ndarray:
+        """d = diag((L L^T)^-1) on first read, as column sums of squares of L^-1:
+        accurate for low-noise kernels, where ``cho_solve(L, I)`` is not."""
+        inv, info = dtrtri(self.chol, lower=1)
+        if info != 0:
+            raise NumericalError(f"triangular inverse failed (LAPACK info {info})")
+        return np.einsum("ij,ij->j", inv, inv)
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, hyper: Hyperparameters) -> np.ndarray:

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,9 +94,9 @@ DEFAULT_STREAM_SIZES = {
     "six-hump-camel": 500,
 }
 
-# Operation-count models of one per-partition evaluation per criterion,
-# reported alongside the timings of ``bench``.  A full sweep through
-# ``reduction_scores`` costs one O(N^3) factorization instead of N of them.
+# Operation-count models of one per-partition evaluation per criterion, next
+# to ``bench``'s timings.  The loops' replace-one sweep costs O(N^2) from the
+# kept factor, then one O(N^3) factorization and triangular inverse to recache.
 COMPLEXITY_MODEL = {
     "prior-entropy": "N^3/6 + N^2 + N",
     "predictive-entropy": "N^3/6 + 3/2 N^2 + 2 N",
@@ -129,9 +130,9 @@ class ExperimentConfig:
     initial_train: int = 100
     stream_size: int | None = None
     eval_size: int = 500
-    data_file: str | None = None
+    data_file: str | os.PathLike | None = None
     target_column: str | None = None
-    hyper_file: str | None = None
+    hyper_file: str | os.PathLike | None = None
     train_restarts: int = 3
     train_max_iters: int = 200
     train_tol: float = 1e-5
@@ -143,7 +144,7 @@ class ExperimentConfig:
     mr_reference: str = "model"
     maps: bool = False
     verify: bool = False
-    out: str | None = None
+    out: str | os.PathLike | None = None
 
     def __post_init__(self):
         # Check before converting: a config file can set any JSON value, and
@@ -164,10 +165,11 @@ class ExperimentConfig:
             raise ConfigError(f"criteria: {exc}") from None
 
     def _field_problems(self) -> list:
-        """Numeric and bool fields that are not of their annotated type (a
-        config file can set any JSON value) or are out of range."""
+        """Numeric, bool, str and path fields that are not of their annotated
+        type (a config file can set any JSON value) or are out of range."""
         problems = []
-        kinds = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+        kinds = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
+                 "str | os.PathLike": (str, os.PathLike)}
         for f in dataclasses.fields(self):
             value, kind = getattr(self, f.name), kinds.get(f.type.removesuffix(" | None"))
             if kind is None or value is None and "None" in f.type:
@@ -382,7 +384,8 @@ def _write_float_csv(path, header, rows) -> None:
 def _write_metadata(out_path, config: ExperimentConfig, extra: dict) -> None:
     meta = {"config": dataclasses.asdict(config)}
     meta.update(extra)
-    Path(out_path).with_suffix(".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    text = json.dumps(meta, indent=2, default=os.fspath)  # a path field may be a Path
+    Path(out_path).with_suffix(".meta.json").write_text(text + "\n")
 
 
 def _finish(records, config: ExperimentConfig, command: str) -> list:

@@ -107,6 +107,12 @@ class OnlineGp:
     j_min: float | None = field(init=False, default=None)
 
     def __post_init__(self):
+        try:
+            self.criterion = CriterionKind(self.criterion)
+        except ValueError:
+            raise ValueError(f"unknown criterion {self.criterion!r}") from None
+        if not isinstance(self.use_acceptance, bool):
+            raise ValueError(f"use_acceptance must be a bool, not {self.use_acceptance!r}")
         if isinstance(self.budget, bool) or not isinstance(self.budget, numbers.Integral):
             raise ValueError(f"budget must be an integer, not {self.budget!r}")
         if self.budget < 1:
@@ -195,13 +201,18 @@ def accept_decision(model: OnlineGp, point: tuple) -> bool:
     return score > model.j_min
 
 
+def _sweep(model: OnlineGp, point: tuple) -> tuple[int, np.ndarray]:
+    scores = reduction_scores(
+        model.criterion, model.dataset, model.hyper, point, base_cache=model.cache
+    )
+    return argmin_with_ties(scores), scores
+
+
 def select_removal(model: OnlineGp, point: tuple) -> int:
     """Index of the stored row to replace: argmin of the reduction scores
     over all replace-one partitions, smallest index on ties (see
     :func:`budgetgp.criteria.argmin_with_ties`)."""
-    return argmin_with_ties(reduction_scores(
-        model.criterion, model.dataset, model.hyper, point, base_cache=model.cache
-    ))
+    return _sweep(model, point)[0]
 
 
 def step(model: OnlineGp, point: tuple) -> tuple[OnlineGp, StepOutcome]:
@@ -222,10 +233,7 @@ def step(model: OnlineGp, point: tuple) -> tuple[OnlineGp, StepOutcome]:
             return model, StepOutcome(Decision.APPENDED)
         if not accept_decision(model, point):
             return model, StepOutcome(Decision.REJECTED_ACCEPTANCE)
-        scores = reduction_scores(
-            model.criterion, model.dataset, model.hyper, point, base_cache=model.cache
-        )
-        r = argmin_with_ties(scores)
+        r, scores = _sweep(model, point)
         model._recache(model.dataset.with_row_replaced(r, x, y))
         return model, StepOutcome(Decision.REPLACED, replaced_index=r, scores=scores)
     except (FactorizationError, NumericalError) as exc:

@@ -57,6 +57,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="criteria"):
             tiny_config(criteria=("entropy-of-doom",)).validate()
 
+    def test_path_objects_accepted(self, tmp_path):
+        tiny_config(benchmark="csv", data_file=tmp_path / "d.csv", target_column="y",
+                    hyper_file=tmp_path / "h.json", out=tmp_path / "r.csv").validate()
+        written = []
+        for out in (str(tmp_path / "r.csv"), tmp_path / "r.csv"):
+            cmd_online_eval(tiny_config(criteria=("mll",), err_threshold=1.0, out=out))
+            written.append([(tmp_path / name).read_bytes() for name in ("r.csv", "r.meta.json")])
+        assert written[0] == written[1]
+
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"benchmark": "rosenbrock", "budget": 33, "seeds": [4, 5]}))
@@ -442,11 +451,18 @@ class TestCli:
         (["bench", "--config", "{tmp}/zero_bench_size.json"], "bench_sizes:"),
         (["bench", "--config", "{tmp}/text_bench_sizes.json"],
          "config file {tmp}/text_bench_sizes.json: bench_sizes:"),
+        (_ONLINE + ["--config", "{tmp}/number_out.json"], "out:"),
+        (["train", "--config", "{tmp}/number_out.json", "--benchmark", "rastrigin"], "out:"),
+        (_ONLINE + ["--config", "{tmp}/number_data_file.json"], "data_file:"),
+        (_ONLINE + ["--config", "{tmp}/number_hyper_file.json"], "hyper_file:"),
+        (_ONLINE + ["--config", "{tmp}/number_target_column.json"], "target_column:"),
     ], ids=["eval-size-0", "eval-size-1", "nan-var-threshold", "negative-stream-size",
             "negative-threshold", "missing-hyper-file", "hyper-record-without-lengthscales",
             "hyper-file-of-other-dimension", "text-budget-in-config", "text-seeds-in-config",
             "zero-repeats", "digit-string-seeds", "fractional-seed", "text-thresholds",
-            "text-maps", "text-verify", "bool-budget", "zero-bench-size", "text-bench-sizes"])
+            "text-maps", "text-verify", "bool-budget", "zero-bench-size", "text-bench-sizes",
+            "number-out", "number-out-train", "number-data-file", "number-hyper-file",
+            "number-target-column"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, args, prefix):
         record = {"signal_variance": 1.0, "lengthscales": [1.0] * 4, "noise_variance": 0.1}
         for name, entry in (("four_inputs", record),
@@ -459,6 +475,8 @@ class TestCli:
             "text_thresholds": {"thresholds_grid": "05"}, "text_maps": {"maps": "false"},
             "text_verify": {"verify": "no"}, "bool_budget": {"budget": True},
             "zero_bench_size": {"bench_sizes": [0]}, "text_bench_sizes": {"bench_sizes": "20"},
+            "number_out": {"out": 5}, "number_data_file": {"data_file": 5},
+            "number_hyper_file": {"hyper_file": 5}, "number_target_column": {"target_column": 5},
         }
         for name, payload in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(payload))

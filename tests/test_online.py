@@ -543,8 +543,9 @@ class TestSnapshot:
         (lambda r: r.update(budget="10"), "budget"),
         (lambda r: r.update(inputs=[[0.0, 1.0], [2.0]]), "inputs"),
         (lambda r: r["hyper"].pop("lengthscales"), "hyper"),
+        (lambda r: r.update(use_acceptance="false"), "use_acceptance"),
     ], ids=["missing-budget", "missing-hyper", "text-budget", "ragged-inputs",
-            "hyper-without-lengthscales"])
+            "hyper-without-lengthscales", "text-use-acceptance"])
     def test_malformed_field_named(self, rng, tmp_path, edit, field):
         path = tmp_path / "model.json"
         save_snapshot(make_model(rng, n=2, budget=4), path)
@@ -573,6 +574,25 @@ class TestInvariants:
         d, h = random_instance(rng, 1, 2)
         with pytest.raises(ValueError, match="budget must be an integer"):
             OnlineGp(dataset=d, hyper=h, budget=budget)
+
+    @pytest.mark.parametrize("use_acceptance", ["no", "false", 1, None])
+    def test_non_bool_use_acceptance_rejected(self, rng, use_acceptance):
+        d, h = random_instance(rng, 4, 2)
+        with pytest.raises(ValueError, match="use_acceptance"):
+            OnlineGp(dataset=d, hyper=h, budget=5, use_acceptance=use_acceptance)
+
+    @pytest.mark.parametrize("use_acceptance", [False, True])
+    def test_criterion_given_by_name(self, rng, use_acceptance):
+        model = make_model(rng, criterion="mll", use_acceptance=use_acceptance)
+        assert model.criterion is CriterionKind.MARGINAL_LOG_LIKELIHOOD
+        for point in random_stream(rng, 2, 5):
+            model, outcome = step(model, point)
+            assert outcome.decision is not Decision.FAILED, outcome.error
+
+    def test_unknown_criterion_rejected(self, rng):
+        d, h = random_instance(rng, 4, 2)
+        with pytest.raises(ValueError, match="unknown criterion 'entropy'"):
+            OnlineGp(dataset=d, hyper=h, budget=5, criterion="entropy")
 
     @pytest.mark.parametrize("field", ["var_threshold", "err_threshold"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])

@@ -1,6 +1,7 @@
-"""The one-factorization sweep ``reduction_scores`` against the per-partition
-reference ``reduction_score`` and, in the low-noise regime, against a
-50-digit ``mpmath`` oracle; the closed-form stored-row acceptance scores
+"""The one-cache sweep ``reduction_scores``, with a fresh factor and with the
+stored set's kept factor, against the per-partition reference
+``reduction_score`` and, in the low-noise regime, against a 50-digit
+``mpmath`` oracle; the closed-form stored-row acceptance scores
 ``acceptance_scores`` against the same oracle."""
 
 import numpy as np
@@ -12,14 +13,16 @@ from hypothesis import strategies as st
 from budgetgp.criteria import (
     CriterionKind,
     PartitionView,
+    _extended_cache,
     acceptance_scores,
     argmin_with_ties,
     reduction_score,
     reduction_scores,
     tie_tolerance,
 )
-from budgetgp.gp import (Dataset, Hyperparameters, NumericalError, StaleCacheError,
-                         fit_cache)
+from budgetgp.gp import (Dataset, Hyperparameters, NumericalError, PosteriorCache,
+                         StaleCacheError, fit_cache)
+from budgetgp.online import Decision, OnlineGp, step
 from conftest import random_instance
 
 mpmath = pytest.importorskip("mpmath")
@@ -143,20 +146,35 @@ class TestAgainstPerPartition:
         cand = random_candidate(rng, 2) if replace else None
         for kind in ALL_KINDS:
             for ref in REFERENCES:
-                got = reduction_scores(kind, d, h, cand, mean_reference=ref)
                 want = per_partition(kind, d, h, cand, ref)
-                npt.assert_allclose(got, want, rtol=1e-8, atol=1e-12,
-                                    err_msg=f"{kind.value} {ref}")
+                for base in (None, fit_cache(d, h)):
+                    got = reduction_scores(kind, d, h, cand, base_cache=base,
+                                           mean_reference=ref)
+                    npt.assert_allclose(got, want, rtol=1e-8, atol=1e-12,
+                                        err_msg=f"{kind.value} {ref} base={base}")
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_base_cache_gives_same_scores(self, kind, rng):
         d, h = random_instance(rng, 9, 2)
         cache = fit_cache(d, h)
-        for cand in (random_candidate(rng, 2), None):
-            npt.assert_array_equal(
-                reduction_scores(kind, d, h, cand, base_cache=cache),
-                reduction_scores(kind, d, h, cand),
-            )
+        # Deletion mode scores the base cache itself; replace mode extends it,
+        # a different path to the same values.
+        npt.assert_array_equal(reduction_scores(kind, d, h, base_cache=cache),
+                               reduction_scores(kind, d, h))
+        cand = random_candidate(rng, 2)
+        npt.assert_allclose(reduction_scores(kind, d, h, cand, base_cache=cache),
+                            reduction_scores(kind, d, h, cand), rtol=1e-8)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_non_positive_pivot_falls_back_to_fresh_factor(self, kind, rng):
+        # A factor a hundred times too small makes l^T l exceed k** + s^2.
+        d, h = random_instance(rng, 9, 2)
+        good = fit_cache(d, h)
+        shrunk = PosteriorCache(good.chol * 0.01, good.alpha, d.version, good.jitter)
+        cand = random_candidate(rng, 2)
+        assert _extended_cache(shrunk, d, d.with_appended(cand[0], cand[1]), h) is None
+        npt.assert_array_equal(reduction_scores(kind, d, h, cand, base_cache=shrunk),
+                               reduction_scores(kind, d, h, cand))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_escalated_jitter_is_taken_out(self, kind, rng, monkeypatch):
@@ -189,13 +207,47 @@ class TestLowNoiseAgainstMpmath:
         for kind in ALL_KINDS:
             for ref in REFERENCES:
                 want = mp_scores(kind, X, y, h, cand, ref)
-                got = reduction_scores(kind, d, h, cand, mean_reference=ref)
                 scale = float(np.max(np.abs(want)))
-                npt.assert_allclose(got, want, rtol=0, atol=1e-6 * scale,
-                                    err_msg=f"{kind.value} {ref}")
                 first, second = np.sort(want)[:2]
-                if second - first > 1e-6 * scale:
-                    assert argmin_with_ties(got) == int(np.argmin(want)), kind.value
+                for base in (None, fit_cache(d, h)):
+                    got = reduction_scores(kind, d, h, cand, base_cache=base,
+                                           mean_reference=ref)
+                    npt.assert_allclose(got, want, rtol=0, atol=1e-6 * scale,
+                                        err_msg=f"{kind.value} {ref} base={base}")
+                    if second - first > 1e-6 * scale:
+                        assert argmin_with_ties(got) == int(np.argmin(want)), kind.value
+
+
+class TestKeptFactorOverLongStreams:
+    """Every replaced step of a long low-noise stream of clustered inputs
+    scores the sweep from the kept factor; those scores must match a fresh
+    factorization of the stored set plus the candidate.  Both are off a
+    50-digit oracle by up to a few 1e-9 of the largest score here, so the
+    absolute tolerance scales with it."""
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(ALL_KINDS),
+           spread=st.sampled_from([0.05, 0.3, 2.0]))
+    def test_step_scores_match_fresh_factor(self, seed, kind, spread):
+        rng = np.random.default_rng(seed)
+        h = Hyperparameters(rng.uniform(0.5, 3.0), rng.uniform(0.4, 2.0, size=2), 1e-6)
+        w = rng.normal(size=2)
+        X = rng.uniform(-spread, spread, size=(220, 2))
+        y = np.sin(X @ w) + 0.3 * rng.normal(size=220)
+        model = OnlineGp(Dataset(X[:20], y[:20]), h, budget=20, criterion=kind)
+        replaced = 0
+        for point in zip(X[20:], y[20:]):
+            before = model.dataset
+            model, outcome = step(model, point)
+            if outcome.decision is not Decision.REPLACED:
+                continue
+            replaced += 1
+            fresh = reduction_scores(kind, before, h, point)
+            npt.assert_allclose(outcome.scores, fresh, rtol=1e-8,
+                                atol=1e-8 * float(np.max(np.abs(fresh))), err_msg=kind.value)
+            first, second = np.sort(fresh)[:2]
+            if second - first > tie_tolerance(fresh):
+                assert outcome.replaced_index == argmin_with_ties(fresh), kind.value
+        assert replaced > 0
 
 
 class TestAcceptanceScoresAgainstMpmath:
