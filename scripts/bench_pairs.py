@@ -5,7 +5,8 @@ first.  It reports; it gives no verdict.
     python scripts/bench_pairs.py PARENT_TREE CHANGE_TREE \\
         --workload replace-stream --seeds 401,402,403,404,405,406
 
-Each tree runs its own ``perfbench/run.py --trace 0`` from its own root.
+Each tree runs its own ``perfbench/run.py --trace 0`` from its own root,
+at that script's default run length.
 Pair i runs both trees on seed i, the parent first in odd pairs and the
 change first in even ones, so a drift of the machine's speed over the
 runs falls on both sides alike.  Passing the same tree twice gives an
@@ -33,9 +34,9 @@ from pathlib import Path
 QUALITY = ("final_smse", "reduce_smse_mean", "train_lml", "revised_fraction")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
+def run_once(tree: Path, workload: str, seed: int) -> dict | None:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -77,32 +78,27 @@ def main(argv=None) -> int:
                         choices=("replace-stream", "serve-mixed", "offline-fit"))
     parser.add_argument("--seeds", required=True,
                         help="comma-separated seeds, one pair per seed")
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--raw", type=Path, help="also write every result to this JSON file")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
-    parent, change, pairs = [], [], []
+    parent, change = [], []
     for i, seed in enumerate(seeds):
         order = (("parent", args.parent), ("change", args.change))
         if i % 2:
             order = order[::-1]
-        results = {side: run_once(tree, args.workload, seed, args.seconds)
+        results = {side: run_once(tree, args.workload, seed)
                    for side, tree in order}
         if None in results.values():
             return 1
         parent.append(results["parent"])
         change.append(results["change"])
         same = all(results["parent"][k] == results["change"][k] for k in ("correct", "failed"))
-        pairs.append({"seed": seed, "first": order[0][0], **results})
         print(f"pair {i + 1}/{len(seeds)} seed {seed}, {order[0][0]} first: "
               f"correct/failed {'equal' if same else 'DIFFER'} "
               f"({results['parent']['correct']}/{results['parent']['failed']} vs "
               f"{results['change']['correct']}/{results['change']['failed']})", flush=True)
 
-    if args.raw:
-        args.raw.write_text(json.dumps(pairs, indent=1) + "\n")
     print(f"\n{args.workload}: {len(seeds)} pairs, seeds {args.seeds}")
     print(f"{'metric':18s} {'unit':5s} {'parent median':>13s} {'[q1, q3]':>23s} "
           f"{'change median':>13s} {'move':>8s} {'won':>5s} {'bound':>5s}")
