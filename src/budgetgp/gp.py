@@ -58,12 +58,9 @@ class FactorizationError(ArithmeticError):
     ``pivot_index`` is the 0-based index of the first failing pivot.
     """
 
-    def __init__(self, pivot_index: int, message: str | None = None):
+    def __init__(self, pivot_index: int):
         self.pivot_index = int(pivot_index)
-        super().__init__(
-            message
-            or f"kernel matrix not positive definite at pivot {pivot_index}"
-        )
+        super().__init__(f"kernel matrix not positive definite at pivot {pivot_index}")
 
 
 class StaleCacheError(RuntimeError):
@@ -153,14 +150,14 @@ class Hyperparameters:
 class Dataset:
     """Training data ``(inputs, targets)``; immutable after construction.
 
-    Every constructed dataset carries a unique ``version`` token so caches can
-    detect that they are being used with the dataset they were fitted on.
-    Mutating operations return new datasets with fresh versions.
+    Every new dataset, one made by ``dataclasses.replace`` included, gets a
+    unique ``version`` token, not a constructor argument, so caches can detect
+    that they are being used with the dataset they were fitted on.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    version: int = field(default_factory=lambda: next(_dataset_versions))
+    version: int = field(init=False, default_factory=lambda: next(_dataset_versions))
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -365,19 +362,20 @@ def _lml_and_gradient(dataset: Dataset, hyper: Hyperparameters):
     X = dataset.inputs
     n, p = X.shape
     K = kernel_matrix(X, X, hyper)
-    Kn = K + (hyper.noise_variance + JITTER_INITIAL * hyper.signal_variance) * np.eye(n)
+    eye = np.eye(n)
+    Kn = K + (hyper.noise_variance + JITTER_INITIAL * hyper.signal_variance) * eye
     L = _cholesky_lower(Kn)
     alpha = cho_solve((L, True), dataset.targets, check_finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
         lml = _lml_from_cache(PosteriorCache(L, alpha, dataset.version), dataset)
     if not np.isfinite(lml):
         return lml, np.full(p + 2, np.nan)
-    Kinv = cho_solve((L, True), np.eye(n), check_finite=False)
+    Kinv = cho_solve((L, True), eye, check_finite=False)
     A = np.outer(alpha, alpha) - Kinv
 
     grad = np.empty(p + 2)
-    grad[0] = 0.5 * float(np.sum(A * K))
     AK = A * K
+    grad[0] = 0.5 * float(np.sum(AK))
     for d in range(p):
         diff = X[:, d, None] - X[None, :, d]
         grad[1 + d] = 0.5 * float(

@@ -73,7 +73,7 @@ __all__ = [
     "cmd_threshold_sweep",
     "cmd_bench",
     "COMPLEXITY_MODEL",
-    "DEFAULT_STREAM_SIZES",
+    "DEFAULT_STREAM_SIZE",
 ]
 
 
@@ -84,15 +84,10 @@ class ConfigError(ValueError):
 FUNCTION_BENCHMARKS = tuple(sorted(BENCHMARK_BOUNDS))
 SYSTEM_BENCHMARKS = ("bouc-wen", "tanks", "van-der-pol", "building")
 
-# Streamed-point counts of the function benchmarks, sampled on top of the
+# Streamed-point count of a function benchmark, sampled on top of the
 # initial training sample when the config does not set stream_size; the
 # systems stream every row after the initial sample.
-DEFAULT_STREAM_SIZES = {
-    "himmelblau": 500,
-    "rastrigin": 500,
-    "rosenbrock": 500,
-    "six-hump-camel": 500,
-}
+DEFAULT_STREAM_SIZE = 500
 
 # Operation-count models of one per-partition evaluation per criterion, next
 # to ``bench``'s timings.  The loops' replace-one sweep costs O(N^2) from the
@@ -107,6 +102,7 @@ COMPLEXITY_MODEL = {
 
 _EVAL_SEED_OFFSET = 90001
 _DEFAULT_CRITERIA = ("prior-entropy", "mean-relevance", "mll")
+_DEFAULT_THRESHOLDS = (0.0005, 0.001, 0.0025, 0.005, 0.0075, 0.01, 0.015)
 
 
 # Each list field of ExperimentConfig: the type of its entries, their conversion.
@@ -181,11 +177,14 @@ class ExperimentConfig:
             return problems
         # eval_size >= 2: the SMSE needs two targets.
         for name, low in (("budget", 1), ("initial_train", 2), ("stream_size", 0),
-                          ("eval_size", 2), ("bench_repeats", 1),
+                          ("eval_size", 2), ("train_restarts", 0), ("train_max_iters", 0),
+                          ("reduce_min_size", 1), ("bench_repeats", 1),
                           ("var_threshold", 0), ("err_threshold", 0)):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value >= low):
                 problems.append(f"{name}: must be finite and >= {low}")
+        if self.thresholds_grid is not None and not self.thresholds_grid:
+            problems.append("thresholds_grid: need at least one")
         if not all(math.isfinite(t) and t >= 0 for t in self.thresholds_grid or ()):
             problems.append("thresholds_grid: must be finite and >= 0")
         if not all(n >= 1 for n in self.bench_sizes):
@@ -199,6 +198,8 @@ class ExperimentConfig:
             problems.append(f"benchmark: unknown {self.benchmark!r} (choose from {known})")
         if self.benchmark == "csv" and not (self.data_file and self.target_column):
             problems.append("data_file/target_column: required for the csv benchmark")
+        if self.benchmark != "csv" and (self.data_file or self.target_column):
+            problems.append("data_file/target_column: only the csv benchmark reads them")
         if not self.criteria:
             problems.append("criteria: need at least one")
         if not self.seeds:
@@ -215,6 +216,8 @@ class ExperimentConfig:
             payload = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file {path}: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config file {path}: the top level must be a JSON object")
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - names
         if unknown:
@@ -280,10 +283,7 @@ def resolve_benchmark(config: ExperimentConfig, seed: int) -> BenchmarkData:
     """Materialize one seed of the configured benchmark."""
     b = config.benchmark
     if b in BENCHMARK_BOUNDS:
-        stream_size = (
-            config.stream_size if config.stream_size is not None
-            else DEFAULT_STREAM_SIZES[b]
-        )
+        stream_size = DEFAULT_STREAM_SIZE if config.stream_size is None else config.stream_size
         train = sample_uniform(b, config.initial_train + stream_size, seed)
         val = sample_uniform(b, config.eval_size, seed + _EVAL_SEED_OFFSET)
         return _split(train, val, ("x1", "x2"), config, normalize=False)
@@ -522,7 +522,7 @@ def cmd_reduce_sweep(config: ExperimentConfig) -> list:
                         smse=_mean_smse(cache, current, hyper, data.eval_set),
                     )
                 )
-                if current.n <= max(config.reduce_min_size, 1):
+                if current.n <= config.reduce_min_size:
                     break
                 r = argmin_with_ties(reduction_scores(
                     kind, current, hyper, base_cache=cache,
@@ -645,7 +645,7 @@ def cmd_threshold_sweep(config: ExperimentConfig) -> list:
     variance and revised counts per (threshold, criterion, acceptance,
     seed); one full-GP baseline row accompanies each seed."""
     config.validate()
-    grid = config.thresholds_grid or (0.0005, 0.001, 0.0025, 0.005, 0.0075, 0.01, 0.015)
+    grid = _DEFAULT_THRESHOLDS if config.thresholds_grid is None else config.thresholds_grid
     records = []
     for seed in config.seeds:
         data = resolve_benchmark(config, seed)

@@ -480,19 +480,19 @@ def lag_embed(y, u_list, lags: LagSpec) -> Dataset:
 # --- dataset protocols ----------------------------------------------------------
 
 
-def van_der_pol_dataset(seed: int, n_trajectories: int = 20, rows_per_traj: int = 50) -> Dataset:
-    """Uniform initial conditions in [-2, 2]^2, 0.1 s sampling, each
-    trajectory embedded to ``rows_per_traj`` rows (two lead-in samples cover
-    the output lags); 20 x 50 rows by default."""
+def van_der_pol_dataset(seed: int) -> Dataset:
+    """20 trajectories from uniform initial conditions in [-2, 2]^2, 0.1 s
+    sampling, each embedded to 50 rows (two lead-in samples cover the
+    output lags)."""
     rng = np.random.default_rng(seed)
     lags = LAG_PRESETS["van-der-pol"]
     dt = 0.1
     parts = []
-    for i in range(n_trajectories):
+    for i in range(20):
         x0 = rng.uniform(-2.0, 2.0, size=2)
         config = SimConfig(
             dt=dt,
-            horizon=(rows_per_traj + lags.max_lag - 1) * dt,
+            horizon=(50 + lags.max_lag - 1) * dt,
             seed=int(rng.integers(2**31)),
             initial_state=x0,
         )
@@ -503,25 +503,25 @@ def van_der_pol_dataset(seed: int, n_trajectories: int = 20, rows_per_traj: int 
     return Dataset(inputs, targets)
 
 
-def bouc_wen_dataset(seed: int, n_samples: int = 1000) -> Dataset:
+def bouc_wen_dataset(seed: int) -> Dataset:
     dt = 1.0 / 750.0
-    config = SimConfig(dt=dt, horizon=(n_samples - 1) * dt, seed=seed)
+    config = SimConfig(dt=dt, horizon=(1000 - 1) * dt, seed=seed)
     _, u, y = simulate("bouc-wen", config)
     return lag_embed(y, [u[:, 0]], LAG_PRESETS["bouc-wen"])
 
 
-def tanks_dataset(seed: int, n_samples: int = 1024) -> Dataset:
+def tanks_dataset(seed: int) -> Dataset:
     dt = 4.0
-    config = SimConfig(dt=dt, horizon=(n_samples - 1) * dt, seed=seed)
+    config = SimConfig(dt=dt, horizon=(1024 - 1) * dt, seed=seed)
     _, u, y = simulate("tanks", config)
     return lag_embed(y, [u[:, 0]], LAG_PRESETS["tanks"])
 
 
-def building_dataset(seed: int, n_samples: int = 35040):
+def building_dataset(seed: int):
     """One year of 15-minute closed-loop operation, embedded then halved:
     first half training, second half validation."""
     dt = 900.0
-    config = SimConfig(dt=dt, horizon=(n_samples - 1) * dt, seed=seed)
+    config = SimConfig(dt=dt, horizon=(35040 - 1) * dt, seed=seed)
     _, u, y = simulate("building", config)
     embedded = lag_embed(y, [u[:, 0], u[:, 1]], LAG_PRESETS["building"])
     half = embedded.n // 2

@@ -15,10 +15,8 @@ import pytest
 
 from budgetgp.cli import main as cli_main
 from budgetgp.criteria import (
-    AcceptanceKind,
     CriterionKind,
     PartitionView,
-    acceptance_kind_for,
     acceptance_score,
     loo_predict,
     reduction_score,
@@ -44,11 +42,13 @@ from budgetgp.harness import (
 from budgetgp.online import OnlineGp, run_stream
 from budgetgp.systems import SimConfig, eval_benchmark_function, simulate
 from conftest import (
-    LOG_2PI,
+    naive_acceptance_score,
     naive_kernel,
     naive_lml,
     naive_noisy_kernel,
     naive_predict,
+    naive_reduction_score,
+    random_candidate,
     random_instance,
 )
 
@@ -57,43 +57,6 @@ SEEDS = tuple(range(10))
 
 def report(number, name):
     print(f"[acceptance] criterion {number:02d} ({name}): PASS")
-
-
-def random_candidate(rng, p):
-    return rng.uniform(-2, 2, size=p), float(rng.normal())
-
-
-def naive_reduction_score(kind, d, i, candidate, hyper):
-    X = d.inputs.copy()
-    y = d.targets.copy()
-    X[i], y[i] = candidate
-    xi, yi = d.inputs[i], d.targets[i]
-    if kind is CriterionKind.PRIOR_ENTROPY:
-        _, logdet = np.linalg.slogdet(naive_noisy_kernel(X, hyper))
-        return -(0.5 * len(y) * (1 + LOG_2PI) + 0.5 * logdet)
-    if kind is CriterionKind.MARGINAL_LOG_LIKELIHOOD:
-        return naive_lml(X, y, hyper)
-    mu, var = naive_predict(X, y, hyper, xi[None, :])
-    mu, var = float(mu[0]), float(var[0])
-    if kind is CriterionKind.PREDICTIVE_ENTROPY:
-        return 0.5 * (1 + LOG_2PI) + 0.5 * math.log(var)
-    if kind is CriterionKind.LOG_PREDICTIVE_DENSITY:
-        s = var + hyper.noise_variance
-        return 0.5 * math.log(2 * math.pi * s) + (yi - mu) ** 2 / (2 * s)
-    mu_full, _ = naive_predict(d.inputs, d.targets, hyper, xi[None, :])
-    return (float(mu_full[0]) - mu) ** 2
-
-
-def naive_acceptance_score(kind, d, hyper, point):
-    mu, var = naive_predict(d.inputs, d.targets, hyper, np.atleast_2d(point[0]))
-    mu, var = float(mu[0]), float(var[0])
-    acc = acceptance_kind_for(kind)
-    if acc is AcceptanceKind.VARIANCE:
-        return var
-    if acc is AcceptanceKind.SQUARED_ERROR:
-        return (point[1] - mu) ** 2
-    s = var + hyper.noise_variance
-    return 0.5 * math.log(2 * math.pi * s) + (point[1] - mu) ** 2 / (2 * s)
 
 
 @pytest.fixture(scope="module")

@@ -18,65 +18,15 @@ from budgetgp.criteria import (
 from budgetgp.gp import Dataset, Hyperparameters, fit_cache, gaussian_entropy, predict
 from conftest import (
     LOG_2PI,
+    naive_acceptance_score,
     naive_lml,
     naive_noisy_kernel,
-    naive_predict,
+    naive_reduction_score,
+    random_candidate,
     random_instance,
 )
 
 ALL_KINDS = list(CriterionKind)
-
-
-def partition_arrays(d, i, candidate):
-    """The reduced dataset as plain arrays, built independently."""
-    X = d.inputs.copy()
-    y = d.targets.copy()
-    if candidate is None:
-        keep = np.arange(d.n) != i
-        return X[keep], y[keep]
-    X[i] = candidate[0]
-    y[i] = candidate[1]
-    return X, y
-
-
-def naive_reduction_score(kind, d, i, candidate, hyper):
-    """From-scratch oracle: rebuild the partition, use dense formulas only."""
-    Xr, yr = partition_arrays(d, i, candidate)
-    xi = d.inputs[i]
-    yi = d.targets[i]
-    if kind is CriterionKind.PRIOR_ENTROPY:
-        _, logdet = np.linalg.slogdet(naive_noisy_kernel(Xr, hyper))
-        return -(0.5 * len(yr) * (1 + LOG_2PI) + 0.5 * logdet)
-    if kind is CriterionKind.MARGINAL_LOG_LIKELIHOOD:
-        return naive_lml(Xr, yr, hyper)
-    mu, var = naive_predict(Xr, yr, hyper, xi[None, :])
-    mu, var = float(mu[0]), float(var[0])
-    if kind is CriterionKind.PREDICTIVE_ENTROPY:
-        return 0.5 * (1 + LOG_2PI) + 0.5 * math.log(var)
-    if kind is CriterionKind.LOG_PREDICTIVE_DENSITY:
-        s = var + hyper.noise_variance
-        return 0.5 * math.log(2 * math.pi * s) + (yi - mu) ** 2 / (2 * s)
-    if kind is CriterionKind.MEAN_RELEVANCE:
-        mu_full, _ = naive_predict(d.inputs, d.targets, hyper, xi[None, :])
-        return (float(mu_full[0]) - mu) ** 2
-    raise AssertionError(kind)
-
-
-def naive_acceptance_score(kind, d, hyper, point):
-    x, y = point
-    mu, var = naive_predict(d.inputs, d.targets, hyper, np.atleast_2d(x))
-    mu, var = float(mu[0]), float(var[0])
-    acc = acceptance_kind_for(kind)
-    if acc is AcceptanceKind.VARIANCE:
-        return var
-    if acc is AcceptanceKind.SQUARED_ERROR:
-        return (y - mu) ** 2
-    s = var + hyper.noise_variance
-    return 0.5 * math.log(2 * math.pi * s) + (y - mu) ** 2 / (2 * s)
-
-
-def random_candidate(rng, p):
-    return rng.uniform(-2, 2, size=p), float(rng.normal())
 
 
 class TestPartitionView:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,16 @@ class TestPredict:
         mutated = d.with_appended([0.0], 0.0)
         with pytest.raises(StaleCacheError):
             predict(cache, mutated, h, np.array([[0.0]]))
+
+    def test_replaced_dataset_gets_new_version(self, rng):
+        d, h = random_instance(rng, 5, 1)
+        cache = fit_cache(d, h)
+        retargeted = dataclasses.replace(d, targets=d.targets + 1.0)
+        assert retargeted.version != d.version
+        with pytest.raises(StaleCacheError):
+            predict(cache, retargeted, h, np.array([[0.0]]))
+        with pytest.raises(ValueError, match="version"):
+            dataclasses.replace(d, version=d.version)
 
     def test_corrupted_variance_raises(self, rng):
         d, h = random_instance(rng, 5, 1)

@@ -456,13 +456,26 @@ class TestCli:
         (_ONLINE + ["--config", "{tmp}/number_data_file.json"], "data_file:"),
         (_ONLINE + ["--config", "{tmp}/number_hyper_file.json"], "hyper_file:"),
         (_ONLINE + ["--config", "{tmp}/number_target_column.json"], "target_column:"),
+        (_ONLINE + ["--train-restarts", "-2"], "train_restarts:"),
+        (_ONLINE + ["--train-iters", "-1"], "train_max_iters:"),
+        (["reduce-sweep", *_SMALL_RUN, "--reduce-min-size", "0"], "reduce_min_size:"),
+        (["threshold-sweep", *_SMALL_RUN, "--thresholds", ""], "thresholds_grid:"),
+        (["generate", "--benchmark", "rastrigin", "--data-file", "{tmp}/missing.csv",
+          "--out", "{tmp}/g.csv"], "data_file/target_column:"),
+        (_ONLINE + ["--target-column", "y"], "data_file/target_column:"),
+        *[(_ONLINE + ["--config", f"{{tmp}}/top_{name}.json"],
+           f"config file {{tmp}}/top_{name}.json: the top level must be a JSON object")
+          for name in ("null", "number", "string", "list")],
     ], ids=["eval-size-0", "eval-size-1", "nan-var-threshold", "negative-stream-size",
             "negative-threshold", "missing-hyper-file", "hyper-record-without-lengthscales",
             "hyper-file-of-other-dimension", "text-budget-in-config", "text-seeds-in-config",
             "zero-repeats", "digit-string-seeds", "fractional-seed", "text-thresholds",
             "text-maps", "text-verify", "bool-budget", "zero-bench-size", "text-bench-sizes",
             "number-out", "number-out-train", "number-data-file", "number-hyper-file",
-            "number-target-column"])
+            "number-target-column", "negative-train-restarts", "negative-train-iters",
+            "zero-reduce-min-size", "empty-thresholds", "data-file-without-csv",
+            "target-column-without-csv", "null-config-file", "number-config-file",
+            "string-config-file", "list-config-file"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, args, prefix):
         record = {"signal_variance": 1.0, "lengthscales": [1.0] * 4, "noise_variance": 0.1}
         for name, entry in (("four_inputs", record),
@@ -480,6 +493,9 @@ class TestCli:
         }
         for name, payload in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        for name, text in (("null", "null"), ("number", "5"), ("string", '"abc"'),
+                           ("list", "[1, 2]")):
+            (tmp_path / f"top_{name}.json").write_text(text)
         assert main([a.format(tmp=tmp_path) for a in args]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {prefix.format(tmp=tmp_path)}")

@@ -25,9 +25,7 @@ from budgetgp.online import (
     select_removal,
     step,
 )
-from conftest import naive_lml, naive_noisy_kernel, naive_predict, random_instance
-
-LOG_2PI = math.log(2 * math.pi)
+from conftest import LOG_2PI, naive_lml, naive_noisy_kernel, naive_predict, random_instance
 
 
 def make_model(rng, n=8, p=2, budget=8, **kwargs):

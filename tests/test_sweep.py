@@ -23,7 +23,7 @@ from budgetgp.criteria import (
 from budgetgp.gp import (Dataset, Hyperparameters, NumericalError, PosteriorCache,
                          StaleCacheError, fit_cache)
 from budgetgp.online import Decision, OnlineGp, step
-from conftest import random_instance
+from conftest import random_candidate, random_instance
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -37,10 +37,6 @@ def per_partition(kind, d, hyper, candidate, mean_reference="model"):
                         mean_reference=mean_reference)
         for i in range(d.n)
     ])
-
-
-def random_candidate(rng, p):
-    return rng.uniform(-2, 2, size=p), float(rng.normal())
 
 
 # --- 50-digit oracle -----------------------------------------------------------
