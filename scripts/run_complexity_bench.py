@@ -14,7 +14,6 @@ def main():
         benchmark="rastrigin",
         seeds=(0,),
         bench_repeats=1000,
-        bench_sizes=(20, 100),
         out=str(OUT / "complexity_bench.csv"),
     )
     records = cmd_bench(config)

@@ -237,9 +237,10 @@ def reduction_scores(
 
     Replacing row i with the candidate leaves the set S minus row i, where S
     is the dataset plus the candidate (or the dataset itself in deletion
-    mode).  ``base_cache``, the dataset's own cache, serves as S's cache in
-    deletion mode and is extended to S in O(N^2) with a candidate; S is
-    factored in O(N^3) without it or when the extension fails.  With
+    mode).  The dataset's own cache, ``base_cache`` or fitted here when it is
+    not given, serves as S's cache in deletion mode and is extended to S in
+    O(N^2) with a candidate; S is factored afresh only when the extension
+    fails (a new pivot that is not positive, or a failed solve).  With
     d_i = [K_S^-1]_ii and alpha the weights of S, the leave-one-out
     identities (Rasmussen & Williams 2006, 5.4.2) give row i's noisy
     predictive variance 1/d_i, its residual alpha_i/d_i and
@@ -249,15 +250,15 @@ def reduction_scores(
     """
     if mean_reference not in ("model", "target"):
         raise ValueError(f"unknown mean_reference {mean_reference!r}")
-    if base_cache is not None and base_cache.dataset_version != dataset.version:
+    if base_cache is None:
+        base_cache = fit_cache(dataset, hyper)
+    elif base_cache.dataset_version != dataset.version:
         raise StaleCacheError("base_cache was fitted on a different dataset")
     if candidate is None:
-        scored = dataset
-        cache = base_cache if base_cache is not None else fit_cache(dataset, hyper)
+        scored, cache = dataset, base_cache
     else:
         scored = dataset.with_appended(candidate[0], float(candidate[1]))
-        cache = base_cache and _extended_cache(base_cache, dataset, scored, hyper)
-        cache = cache or fit_cache(scored, hyper)
+        cache = _extended_cache(base_cache, dataset, scored, hyper) or fit_cache(scored, hyper)
     d = cache.inverse_diagonal[: dataset.n]
     noisy_var = 1.0 / d
     residual = cache.alpha[: dataset.n] * noisy_var
@@ -280,8 +281,7 @@ def reduction_scores(
             return residual**2
         # The full model's mean at its own inputs is y - (noise + jitter) alpha,
         # so the shift needs no difference of two near-equal means.
-        base = cache if candidate is None else base_cache or fit_cache(dataset, hyper)
-        return (residual - (hyper.noise_variance + base.jitter) * base.alpha) ** 2
+        return (residual - (hyper.noise_variance + base_cache.jitter) * base_cache.alpha) ** 2
     raise ValueError(f"unknown criterion {kind!r}")
 
 

@@ -89,6 +89,11 @@ SYSTEM_BENCHMARKS = ("bouc-wen", "tanks", "van-der-pol", "building")
 # systems stream every row after the initial sample.
 DEFAULT_STREAM_SIZE = 500
 
+# The paper's protocol: threshold-sweep's full-GP baseline fits at most this
+# many training rows, and bench times each criterion at these set sizes.
+BASELINE_MAX = 1000
+BENCH_SIZES = (20, 100)
+
 # Operation-count models of one per-partition evaluation per criterion, next
 # to ``bench``'s timings.  The loops' replace-one sweep costs O(N^2) from the
 # kept factor, then one O(N^3) factorization and triangular inverse to recache.
@@ -110,7 +115,6 @@ _LIST_FIELDS = {
     "criteria": (str, str),
     "seeds": (numbers.Integral, int),
     "thresholds_grid": (numbers.Real, float),
-    "bench_sizes": (numbers.Integral, int),
 }
 
 
@@ -131,12 +135,9 @@ class ExperimentConfig:
     hyper_file: str | os.PathLike | None = None
     train_restarts: int = 3
     train_max_iters: int = 200
-    train_tol: float = 1e-5
     thresholds_grid: tuple | None = None
     reduce_min_size: int = 1
-    baseline_max: int = 1000
     bench_repeats: int = 1000
-    bench_sizes: tuple = (20, 100)
     mr_reference: str = "model"
     maps: bool = False
     verify: bool = False
@@ -162,7 +163,8 @@ class ExperimentConfig:
 
     def _field_problems(self) -> list:
         """Numeric, bool, str and path fields that are not of their annotated
-        type (a config file can set any JSON value) or are out of range."""
+        type (a config file can set any JSON value) or are out of range,
+        repeated list entries, and an ``out`` path that cannot be written."""
         problems = []
         kinds = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
                  "str | os.PathLike": (str, os.PathLike)}
@@ -187,8 +189,15 @@ class ExperimentConfig:
             problems.append("thresholds_grid: need at least one")
         if not all(math.isfinite(t) and t >= 0 for t in self.thresholds_grid or ()):
             problems.append("thresholds_grid: must be finite and >= 0")
-        if not all(n >= 1 for n in self.bench_sizes):
-            problems.append("bench_sizes: must be >= 1")
+        for name in _LIST_FIELDS:  # a repeated entry would run, and count, twice
+            values = getattr(self, name) or ()
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                problems.append(f"{name}: {repeated[0]!r} given more than once")
+        if self.out and Path(self.out).is_dir():
+            problems.append(f"out: {self.out} is a directory")
+        elif self.out and not Path(self.out).parent.is_dir():
+            problems.append(f"out: directory {Path(self.out).parent} does not exist")
         return problems
 
     def validate(self) -> None:
@@ -330,7 +339,6 @@ def train_hyperparameters(train: Dataset, seed: int, config: ExperimentConfig) -
         train,
         init,
         max_iters=config.train_max_iters,
-        tol=config.train_tol,
         bounds=bounds,
         restarts=config.train_restarts,
         rng=np.random.default_rng(seed + 77),
@@ -621,14 +629,12 @@ def cmd_online_eval(config: ExperimentConfig) -> list:
 
 
 def _baseline_record(config, data, hyper, seed) -> ResultRecord:
-    """Full GP on the complete training data (subsampled to ``baseline_max``
+    """Full GP on the complete training data (subsampled to ``BASELINE_MAX``
     rows when larger), evaluated like the online runs."""
     full = data.full_train
-    if full.n > config.baseline_max:
+    if full.n > BASELINE_MAX:
         idx = np.sort(
-            np.random.default_rng(seed + 555).choice(
-                full.n, size=config.baseline_max, replace=False
-            )
+            np.random.default_rng(seed + 555).choice(full.n, size=BASELINE_MAX, replace=False)
         )
         full = full.subset(idx)
     cache = fit_cache(full, hyper)
@@ -670,7 +676,7 @@ def cmd_bench(config: ExperimentConfig) -> list:
     rng = np.random.default_rng(config.seeds[0] if config.seeds else 0)
     records = []
     kinds = list(CriterionKind)  # the cost comparison always covers all five
-    for n in config.bench_sizes:
+    for n in BENCH_SIZES:
         X = rng.uniform(-2.0, 2.0, size=(n, 2))
         y = np.sin(X @ np.array([1.0, -0.7])) + 0.1 * rng.normal(size=n)
         dataset = Dataset(X, y)

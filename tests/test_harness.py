@@ -7,6 +7,7 @@ import pytest
 from budgetgp.cli import build_config, build_parser, main
 from budgetgp.criteria import CriterionKind, PartitionView, reduction_score
 from budgetgp.dataio import read_results
+from budgetgp import harness
 from budgetgp.gp import NumericalError
 from budgetgp.harness import (
     COMPLEXITY_MODEL,
@@ -335,13 +336,14 @@ class TestThresholdSweep:
         records = cmd_threshold_sweep(config)
         baseline = [r for r in records if r.criterion == "baseline"]
         assert len(baseline) == 1
-        assert baseline[0].size == 27  # full training data, under baseline_max
+        assert baseline[0].size == 27  # full training data, under BASELINE_MAX
         cells = [r for r in records if r.criterion != "baseline"]
         keys = {(r.err_threshold, r.criterion, r.use_acceptance, r.seed) for r in cells}
         assert len(keys) == len(cells) == 6
 
-    def test_baseline_subsampled_when_large(self):
-        config = tiny_config(criteria=("mll",), thresholds_grid=(5.0,), baseline_max=10)
+    def test_baseline_subsampled_when_large(self, monkeypatch):
+        monkeypatch.setattr(harness, "BASELINE_MAX", 10)
+        config = tiny_config(criteria=("mll",), thresholds_grid=(5.0,))
         records = cmd_threshold_sweep(config)
         baseline = next(r for r in records if r.criterion == "baseline")
         assert baseline.size == 10
@@ -372,7 +374,7 @@ class TestBench:
     def test_medians_and_model_reported(self):
         # The default 1000 repeats give each median a window of a few hundred
         # milliseconds, so a slow spell of the machine cannot flip the order.
-        config = ExperimentConfig(benchmark="rastrigin", bench_sizes=(20, 100))
+        config = ExperimentConfig(benchmark="rastrigin")
         records = cmd_bench(config)
         assert len(records) == 2 * len(COMPLEXITY_MODEL)
         for kind, poly in COMPLEXITY_MODEL.items():
@@ -448,9 +450,6 @@ class TestCli:
         (["accept-eval", *_SMALL_RUN, "--config", "{tmp}/text_maps.json"], "maps:"),
         (["reduce-sweep", *_SMALL_RUN, "--config", "{tmp}/text_verify.json"], "verify:"),
         (_ONLINE + ["--config", "{tmp}/bool_budget.json"], "budget:"),
-        (["bench", "--config", "{tmp}/zero_bench_size.json"], "bench_sizes:"),
-        (["bench", "--config", "{tmp}/text_bench_sizes.json"],
-         "config file {tmp}/text_bench_sizes.json: bench_sizes:"),
         (_ONLINE + ["--config", "{tmp}/number_out.json"], "out:"),
         (["train", "--config", "{tmp}/number_out.json", "--benchmark", "rastrigin"], "out:"),
         (_ONLINE + ["--config", "{tmp}/number_data_file.json"], "data_file:"),
@@ -466,16 +465,34 @@ class TestCli:
         *[(_ONLINE + ["--config", f"{{tmp}}/top_{name}.json"],
            f"config file {{tmp}}/top_{name}.json: the top level must be a JSON object")
           for name in ("null", "number", "string", "list")],
+        *[(["threshold-sweep", *_SMALL_RUN, "--config", f"{{tmp}}/{name}.json"],
+           f"config file {{tmp}}/{name}.json: unknown keys")
+          for name in ("negative_train_tol", "zero_baseline_max", "negative_baseline_max",
+                       "bench_sizes")],
+        (_ONLINE + ["--out", "{tmp}/missing/r.csv"], "out: directory {tmp}/missing does not"),
+        (["train", "--benchmark", "rastrigin", "--out", "{tmp}/missing/h.json"],
+         "out: directory {tmp}/missing does not"),
+        (["generate", "--benchmark", "rastrigin", "--out", "{tmp}/missing/g.csv"],
+         "out: directory {tmp}/missing does not"),
+        (_ONLINE + ["--out", "{tmp}"], "out: {tmp} is a directory"),
+        (_ONLINE + ["--seeds", "0,1,0"], "seeds: 0 given more than once"),
+        (_ONLINE + ["--criterion", "mll,lpd,mll"], "criteria: 'mll' given more than once"),
+        (["threshold-sweep", *_SMALL_RUN, "--thresholds", "1,2,1.0"],
+         "thresholds_grid: 1.0 given more than once"),
     ], ids=["eval-size-0", "eval-size-1", "nan-var-threshold", "negative-stream-size",
             "negative-threshold", "missing-hyper-file", "hyper-record-without-lengthscales",
             "hyper-file-of-other-dimension", "text-budget-in-config", "text-seeds-in-config",
             "zero-repeats", "digit-string-seeds", "fractional-seed", "text-thresholds",
-            "text-maps", "text-verify", "bool-budget", "zero-bench-size", "text-bench-sizes",
+            "text-maps", "text-verify", "bool-budget",
             "number-out", "number-out-train", "number-data-file", "number-hyper-file",
             "number-target-column", "negative-train-restarts", "negative-train-iters",
             "zero-reduce-min-size", "empty-thresholds", "data-file-without-csv",
             "target-column-without-csv", "null-config-file", "number-config-file",
-            "string-config-file", "list-config-file"])
+            "string-config-file", "list-config-file", "negative-train-tol",
+            "zero-baseline-max", "negative-baseline-max", "bench-sizes",
+            "out-in-missing-directory", "train-out-in-missing-directory",
+            "generate-out-in-missing-directory", "out-is-directory", "repeated-seed",
+            "repeated-criterion", "repeated-threshold"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, args, prefix):
         record = {"signal_variance": 1.0, "lengthscales": [1.0] * 4, "noise_variance": 0.1}
         for name, entry in (("four_inputs", record),
@@ -487,7 +504,8 @@ class TestCli:
             "digit_seeds": {"seeds": "12"}, "fractional_seed": {"seeds": [1.7]},
             "text_thresholds": {"thresholds_grid": "05"}, "text_maps": {"maps": "false"},
             "text_verify": {"verify": "no"}, "bool_budget": {"budget": True},
-            "zero_bench_size": {"bench_sizes": [0]}, "text_bench_sizes": {"bench_sizes": "20"},
+            "negative_train_tol": {"train_tol": -1}, "zero_baseline_max": {"baseline_max": 0},
+            "negative_baseline_max": {"baseline_max": -1}, "bench_sizes": {"bench_sizes": [20]},
             "number_out": {"out": 5}, "number_data_file": {"data_file": 5},
             "number_hyper_file": {"hyper_file": 5}, "number_target_column": {"target_column": 5},
         }

@@ -25,7 +25,8 @@ from budgetgp.online import (
     select_removal,
     step,
 )
-from conftest import LOG_2PI, naive_lml, naive_noisy_kernel, naive_predict, random_instance
+from conftest import (naive_acceptance_score, naive_predict, naive_reduction_score,
+                      random_instance)
 
 
 def make_model(rng, n=8, p=2, budget=8, **kwargs):
@@ -40,38 +41,6 @@ def random_stream(rng, p, length):
 
 
 # --- independent reference implementation, dense oracles only ---------------
-
-
-def naive_scores(kind, X, y, hyper, cand):
-    n = len(y)
-    out = np.empty(n)
-    for i in range(n):
-        Xr, yr = X.copy(), y.copy()
-        Xr[i], yr[i] = cand[0], cand[1]
-        if kind is CriterionKind.MARGINAL_LOG_LIKELIHOOD:
-            out[i] = naive_lml(Xr, yr, hyper)
-        elif kind is CriterionKind.PRIOR_ENTROPY:
-            _, logdet = np.linalg.slogdet(naive_noisy_kernel(Xr, hyper))
-            out[i] = -(0.5 * n * (1 + LOG_2PI) + 0.5 * logdet)
-        elif kind is CriterionKind.MEAN_RELEVANCE:
-            mu_full, _ = naive_predict(X, y, hyper, X[i][None, :])
-            mu_loo, _ = naive_predict(Xr, yr, hyper, X[i][None, :])
-            out[i] = (float(mu_full[0]) - float(mu_loo[0])) ** 2
-        else:
-            raise AssertionError(kind)
-    return out
-
-
-def naive_acceptance(kind, X, y, hyper, point):
-    mu, var = naive_predict(X, y, hyper, np.atleast_2d(point[0]))
-    mu, var = float(mu[0]), float(var[0])
-    acc = acceptance_kind_for(kind)
-    if acc is AcceptanceKind.VARIANCE:
-        return var
-    if acc is AcceptanceKind.SQUARED_ERROR:
-        return (point[1] - mu) ** 2
-    s = var + hyper.noise_variance
-    return 0.5 * math.log(2 * math.pi * s) + (point[1] - mu) ** 2 / (2 * s)
 
 
 def naive_replay(X0, y0, hyper, budget, stream, kind, var_thr, err_thr, use_acc):
@@ -92,14 +61,16 @@ def naive_replay(X0, y0, hyper, budget, stream, kind, var_thr, err_thr, use_acc)
             X = np.vstack([X, x_new])
             y = np.append(y, y_new)
             continue
+        d = Dataset(X, y)
         if use_acc:
             row_scores = [
-                naive_acceptance(kind, X, y, hyper, (X[i], y[i])) for i in range(len(y))
+                naive_acceptance_score(kind, d, hyper, (X[i], y[i])) for i in range(len(y))
             ]
-            cand_score = naive_acceptance(kind, X, y, hyper, (x_new, y_new))
+            cand_score = naive_acceptance_score(kind, d, hyper, (x_new, y_new))
             if not cand_score > min(row_scores):
                 continue
-        r = int(np.argmin(naive_scores(kind, X, y, hyper, (x_new, y_new))))
+        r = int(np.argmin([naive_reduction_score(kind, d, i, (x_new, y_new), hyper)
+                           for i in range(d.n)]))
         X[r], y[r] = x_new, y_new
     return X, y
 
@@ -169,8 +140,8 @@ class TestAcceptDecision:
             model = OnlineGp(dataset=d, hyper=h, budget=10, criterion=kind, use_acceptance=True)
             for _ in range(5):
                 point = (rng.uniform(-2, 2, size=2), float(rng.normal()))
-                want = naive_acceptance(kind, d.inputs, d.targets, h, point) > min(
-                    naive_acceptance(kind, d.inputs, d.targets, h, (d.inputs[i], d.targets[i]))
+                want = naive_acceptance_score(kind, d, h, point) > min(
+                    naive_acceptance_score(kind, d, h, (d.inputs[i], d.targets[i]))
                     for i in range(d.n)
                 )
                 assert accept_decision(model, point) == want
@@ -263,7 +234,7 @@ class TestSelectRemoval:
         d, h = random_instance(rng, 10, 2)
         model = OnlineGp(dataset=d, hyper=h, budget=10, criterion=kind)
         point = (rng.uniform(-2, 2, size=2), float(rng.normal()))
-        want = int(np.argmin(naive_scores(kind, d.inputs, d.targets, h, point)))
+        want = int(np.argmin([naive_reduction_score(kind, d, i, point, h) for i in range(d.n)]))
         assert select_removal(model, point) == want
 
     def test_entropy_pair_selects_same_row(self, rng):

@@ -1,5 +1,5 @@
-"""The one-cache sweep ``reduction_scores``, with a fresh factor and with the
-stored set's kept factor, against the per-partition reference
+"""The one-cache sweep ``reduction_scores``, from the stored set's kept factor
+and with its fresh-factor fallback forced, against the per-partition reference
 ``reduction_score`` and, in the low-noise regime, against a 50-digit
 ``mpmath`` oracle; the closed-form stored-row acceptance scores
 ``acceptance_scores`` against the same oracle."""
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from budgetgp import criteria
 from budgetgp.criteria import (
     CriterionKind,
     PartitionView,
@@ -29,6 +30,15 @@ mpmath = pytest.importorskip("mpmath")
 
 ALL_KINDS = list(CriterionKind)
 REFERENCES = ("model", "target")
+
+
+def fresh_factor_scores(*args, **kwargs):
+    """``reduction_scores`` with the kept-factor extension made to fail, so
+    the dataset plus the candidate is factored afresh, as on a non-positive
+    pivot."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria, "_extended_cache", lambda *_: None)
+        return reduction_scores(*args, **kwargs)
 
 
 def per_partition(kind, d, hyper, candidate, mean_reference="model"):
@@ -143,23 +153,23 @@ class TestAgainstPerPartition:
         for kind in ALL_KINDS:
             for ref in REFERENCES:
                 want = per_partition(kind, d, h, cand, ref)
-                for base in (None, fit_cache(d, h)):
-                    got = reduction_scores(kind, d, h, cand, base_cache=base,
-                                           mean_reference=ref)
+                for score in (fresh_factor_scores, reduction_scores):
+                    got = score(kind, d, h, cand, mean_reference=ref)
                     npt.assert_allclose(got, want, rtol=1e-8, atol=1e-12,
-                                        err_msg=f"{kind.value} {ref} base={base}")
+                                        err_msg=f"{kind.value} {ref} {score.__name__}")
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_base_cache_gives_same_scores(self, kind, rng):
+        # Without base_cache the dataset's cache is fitted and then used as
+        # if it had been passed.
         d, h = random_instance(rng, 9, 2)
         cache = fit_cache(d, h)
-        # Deletion mode scores the base cache itself; replace mode extends it,
-        # a different path to the same values.
-        npt.assert_array_equal(reduction_scores(kind, d, h, base_cache=cache),
-                               reduction_scores(kind, d, h))
         cand = random_candidate(rng, 2)
-        npt.assert_allclose(reduction_scores(kind, d, h, cand, base_cache=cache),
-                            reduction_scores(kind, d, h, cand), rtol=1e-8)
+        for ref in REFERENCES:
+            for c in (None, cand):
+                npt.assert_array_equal(
+                    reduction_scores(kind, d, h, c, base_cache=cache, mean_reference=ref),
+                    reduction_scores(kind, d, h, c, mean_reference=ref))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_non_positive_pivot_falls_back_to_fresh_factor(self, kind, rng):
@@ -170,7 +180,7 @@ class TestAgainstPerPartition:
         cand = random_candidate(rng, 2)
         assert _extended_cache(shrunk, d, d.with_appended(cand[0], cand[1]), h) is None
         npt.assert_array_equal(reduction_scores(kind, d, h, cand, base_cache=shrunk),
-                               reduction_scores(kind, d, h, cand))
+                               fresh_factor_scores(kind, d, h, cand))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_escalated_jitter_is_taken_out(self, kind, rng, monkeypatch):
@@ -205,11 +215,10 @@ class TestLowNoiseAgainstMpmath:
                 want = mp_scores(kind, X, y, h, cand, ref)
                 scale = float(np.max(np.abs(want)))
                 first, second = np.sort(want)[:2]
-                for base in (None, fit_cache(d, h)):
-                    got = reduction_scores(kind, d, h, cand, base_cache=base,
-                                           mean_reference=ref)
+                for score in (fresh_factor_scores, reduction_scores):
+                    got = score(kind, d, h, cand, mean_reference=ref)
                     npt.assert_allclose(got, want, rtol=0, atol=1e-6 * scale,
-                                        err_msg=f"{kind.value} {ref} base={base}")
+                                        err_msg=f"{kind.value} {ref} {score.__name__}")
                     if second - first > 1e-6 * scale:
                         assert argmin_with_ties(got) == int(np.argmin(want)), kind.value
 
@@ -237,7 +246,7 @@ class TestKeptFactorOverLongStreams:
             if outcome.decision is not Decision.REPLACED:
                 continue
             replaced += 1
-            fresh = reduction_scores(kind, before, h, point)
+            fresh = fresh_factor_scores(kind, before, h, point)
             npt.assert_allclose(outcome.scores, fresh, rtol=1e-8,
                                 atol=1e-8 * float(np.max(np.abs(fresh))), err_msg=kind.value)
             first, second = np.sort(fresh)[:2]
