@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from budgetgp import harness
 from budgetgp.cli import build_config, build_parser, main
 from budgetgp.criteria import CriterionKind, PartitionView, reduction_score
 from budgetgp.dataio import read_results
-from budgetgp import harness
 from budgetgp.gp import NumericalError
 from budgetgp.harness import (
     COMPLEXITY_MODEL,
